@@ -18,14 +18,15 @@ from .generator import (ModelParams, infected_neighbors, transition_rate,
                         reaction_rates, exit_rate_bound, build_generator_cp,
                         build_generator_dense)
 from .forward import (SolverConfig, SolverAccuracyError, SubstepLimitError,
-                      evolve_tt, transition_prob_tt, transition_prob_dense,
-                      dense_propagator, transition_prob_ssa)
+                      evolve_tt, transition_prob_dense, dense_propagator,
+                      transition_prob_ssa)
 from .datagen import (EventTrajectory, ObservationSeries, simulate_epidemic,
                       resample_uniform, parse_observations,
                       serialize_observations)
-from .likelihood import (LikelihoodReport, interval_probabilities,
-                         log_likelihood, contrast_matrix, serialize_contrast)
+from .likelihood import (LikelihoodReport, transition_prob_tt,
+                         interval_probabilities, log_likelihood,
+                         contrast_matrix, serialize_contrast)
 from .inference import (ChainRecord, McmcChain, initial_scores, initial_guess,
-                        propose_toggle, ToggleProposer, NoReplacementProposer,
+                        ToggleProposer, NoReplacementProposer,
                         mh_ratio, maximize_loglike, mcmc_optimize,
                         serialize_chain)

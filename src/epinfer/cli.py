@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,8 @@ from .graphs import (Network, all_pairs, austria_network, chain_network,
                      parse_network, serialize_network, smallworld_network)
 from .inference import (initial_guess, initial_scores, mcmc_optimize,
                         serialize_chain)
-from .likelihood import contrast_matrix, log_likelihood, serialize_contrast
+from .likelihood import (_map_jobs, contrast_matrix, log_likelihood,
+                         serialize_contrast)
 
 __all__ = ["main", "entry"]
 
@@ -103,12 +103,7 @@ def cmd_simulate(args) -> int:
     (out / "network.net").write_text(serialize_network(net))
     tasks = [(net, params, x0, args.tmax, args.tau, args.seed + i,
               str(out / f"dataset-{i}.obs")) for i in range(args.ndatasets)]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(_simulate_one, tasks))
-    else:
-        for task in tasks:
-            _simulate_one(task)
+    _map_jobs(_simulate_one, tasks, args.jobs)
     print(f"wrote {len(tasks)} dataset(s) to {out}")
     return 0
 
@@ -174,24 +169,12 @@ def cmd_contrast(args) -> int:
     if not obs_files:
         raise ValueError(f"no .obs files in {args.obs_dir}")
     datasets = [parse_observations(p.read_text()) for p in obs_files]
-    if args.jobs > 1 and len(datasets) > 1:
-        tasks = [(truth, [obs], params, args.solver, cfg, args.nssa, args.seed)
-                 for obs in datasets]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            partials = list(pool.map(_contrast_one, tasks))
-        matrix = np.mean(partials, axis=0)
-    else:
-        matrix = contrast_matrix(truth, datasets, params, solver=args.solver,
-                                 cfg=cfg, n_ssa=args.nssa, ssa_seed=args.seed)
+    matrix = contrast_matrix(truth, datasets, params, solver=args.solver,
+                             cfg=cfg, n_ssa=args.nssa, ssa_seed=args.seed,
+                             jobs=args.jobs)
     Path(args.out).write_text(serialize_contrast(matrix))
     print(f"wrote contrast for {len(datasets)} dataset(s) to {args.out}")
     return 0
-
-
-def _contrast_one(task):
-    truth, datasets, params, solver, cfg, nssa, seed = task
-    return contrast_matrix(truth, datasets, params, solver=solver, cfg=cfg,
-                           n_ssa=nssa, ssa_seed=seed)
 
 
 def cmd_order(args) -> int:

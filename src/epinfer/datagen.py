@@ -66,6 +66,27 @@ class ObservationSeries:
         return len(self.times) - 1
 
 
+def _jump_events(net: Network, params: ModelParams, x, t_max, rng):
+    """Gillespie kernel: flip x in place at each jump before t_max.
+
+    Yields (time, node) after every jump.  Exponential waiting times by
+    inverse CDF, reaction selection by cumulative rate scan; the draw that
+    crosses t_max is the last one taken.
+    """
+    t = 0.0
+    while True:
+        rates = reaction_rates(x, net, params)
+        total = rates.sum()
+        t += -math.log(rng.random()) / total
+        if t >= t_max:
+            return
+        cum = np.cumsum(rates)
+        node = int(np.searchsorted(cum, rng.random() * total, side="right"))
+        node = min(node, len(x) - 1)
+        x[node] ^= 1
+        yield t, node
+
+
 def simulate_epidemic(net: Network, params: ModelParams, x0, t_max,
                       rng) -> EventTrajectory:
     """Exact-event simulation of the epidemic jump process up to t_max."""
@@ -75,17 +96,7 @@ def simulate_epidemic(net: Network, params: ModelParams, x0, t_max,
     if len(x) != net.n_nodes:
         raise ValueError("initial state length does not match the network")
     times, nodes, values = [], [], []
-    t = 0.0
-    while True:
-        rates = reaction_rates(x, net, params)
-        total = rates.sum()
-        t += -math.log(rng.random()) / total
-        if t >= t_max:
-            break
-        cum = np.cumsum(rates)
-        node = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        node = min(node, len(x) - 1)
-        x[node] ^= 1
+    for t, node in _jump_events(net, params, x, t_max, rng):
         times.append(t)
         nodes.append(node)
         values.append(int(x[node]))

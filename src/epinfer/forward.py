@@ -1,11 +1,12 @@
-"""Transition probabilities over a time interval, three ways.
+"""Forward solves of the epidemic master equation.
 
-* evolve_tt / transition_prob_tt: tensor-train integration of the master
-  equation by uniformization, the primary path.
-* transition_prob_dense: matrix exponential of the full generator, the
-  small-system oracle.
-* transition_prob_ssa: frequency estimate from exact-event trajectory
-  sampling, the Monte Carlo baseline.
+* evolve_tt: tensor-train integration by uniformization, the primary
+  path; likelihood builds every TT transition probability on it.
+* dense_propagator / transition_prob_dense: matrix exponential of the
+  full generator, the small-system oracle.
+* transition_prob_ssa: frequency estimate from exact-event trajectories,
+  run by the same Gillespie kernel that generates the synthetic data; the
+  Monte Carlo baseline.
 
 Uniformization writes exp(A*dt) p as a Poisson-weighted power series of
 the shifted stochastic matrix B = I + A/L, where L bounds every total exit
@@ -22,22 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .generator import ModelParams, build_generator_cp, build_generator_dense, \
-    reaction_rates
-from .graphs import Network, fiedler_ordering, permute_network
+from .datagen import _jump_events
+from .generator import ModelParams, build_generator_dense
+from .graphs import Network
 from .tt import (CPOperator, TTVector, cp_apply, state_index, tt_add, tt_inner,
-                 tt_element, tt_ones, tt_round, tt_scale, unit_state_tt)
+                 tt_ones, tt_round, tt_scale)
 
 __all__ = [
     "SolverConfig",
     "SolverAccuracyError",
     "SubstepLimitError",
     "evolve_tt",
-    "transition_prob_tt",
     "transition_prob_dense",
     "dense_propagator",
     "transition_prob_ssa",
-    "sample_final_state",
 ]
 
 # Absolute pointwise accuracy target of one evolve.  tt_tol budgets the
@@ -46,10 +45,6 @@ __all__ = [
 # absolute scale, which per-application rounding at tt_tol alone cannot do.
 _ABS_ACC = 1e-13
 _TAIL_ABS = 1e-14
-# TT entries this far below zero indicate solver failure, not roundoff.
-_NEGATIVE_TOL = 1e-8
-
-_MAX_DENSE_SITES = 14
 
 
 class SolverAccuracyError(RuntimeError):
@@ -66,7 +61,6 @@ class SolverConfig:
 
     tt_tol: float = 1e-6
     max_substeps: int = 10_000
-    use_fiedler_ordering: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.tt_tol < 1.0:
@@ -143,37 +137,8 @@ def evolve_tt(gen: CPOperator, p0: TTVector, dt, cfg: SolverConfig = None) -> TT
     return p
 
 
-def transition_prob_tt(net: Network, params: ModelParams, x_a, x_b, dt,
-                       cfg: SolverConfig = None) -> float:
-    """Probability of moving from state x_a to x_b over dt, TT path.
-
-    When node ordering is enabled the generator and both states are
-    permuted by the Fiedler ordering of the network before the solve,
-    which keeps TT ranks low for weakly coupled node groups.
-    """
-    cfg = cfg or SolverConfig()
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x_a = np.asarray(x_a, dtype=np.uint8)
-    x_b = np.asarray(x_b, dtype=np.uint8)
-    if cfg.use_fiedler_ordering and net.n_nodes >= 2:
-        order = fiedler_ordering(net)
-    else:
-        order = np.arange(net.n_nodes)
-    pnet = permute_network(net, order)
-    gen = build_generator_cp(pnet, params)
-    evolved = evolve_tt(gen, unit_state_tt(x_a[order]), dt, cfg)
-    value = tt_element(evolved, x_b[order])
-    if value < -_NEGATIVE_TOL:
-        raise SolverAccuracyError(
-            f"probability {value} below -{_NEGATIVE_TOL}; tighten tt_tol")
-    return min(max(value, 0.0), 1.0)
-
-
 def dense_propagator(net: Network, params: ModelParams, dt) -> np.ndarray:
     """exp(A*dt) for the full generator; columns are source states."""
-    if net.n_nodes > _MAX_DENSE_SITES:
-        raise ValueError(f"refusing dense propagator for N={net.n_nodes} > {_MAX_DENSE_SITES}")
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     return scipy.linalg.expm(build_generator_dense(net, params) * dt)
@@ -183,27 +148,6 @@ def transition_prob_dense(net: Network, params: ModelParams, x_a, x_b, dt) -> fl
     """Oracle transition probability from the dense matrix exponential."""
     prop = dense_propagator(net, params, dt)
     return float(prop[state_index(x_b), state_index(x_a)])
-
-
-def sample_final_state(net: Network, params: ModelParams, x0, duration,
-                       rng) -> np.ndarray:
-    """State after running the jump process for a fixed duration.
-
-    Direct Gillespie stepping: exponential waiting times by inverse CDF,
-    reaction selection by cumulative rate scan.
-    """
-    x = np.array(x0, dtype=np.uint8)
-    t = 0.0
-    while True:
-        rates = reaction_rates(x, net, params)
-        total = rates.sum()
-        t += -math.log(rng.random()) / total
-        if t >= duration:
-            return x
-        cum = np.cumsum(rates)
-        node = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        node = min(node, len(x) - 1)
-        x[node] ^= 1
 
 
 def transition_prob_ssa(net: Network, params: ModelParams, x_a, x_b, dt,
@@ -219,7 +163,9 @@ def transition_prob_ssa(net: Network, params: ModelParams, x_a, x_b, dt,
     x_b = np.asarray(x_b, dtype=np.uint8)
     hits = 0
     for _ in range(n_traj):
-        final = sample_final_state(net, params, x_a, dt, rng)
-        if np.array_equal(final, x_b):
+        x = x_a.copy()
+        for _ in _jump_events(net, params, x, dt, rng):
+            pass
+        if np.array_equal(x, x_b):
             hits += 1
     return hits / n_traj

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Network
-from .tt import CPOperator, state_index
+from .tt import MAX_DENSE_MATRIX_SITES, CPOperator, state_index
 
 __all__ = [
     "ModelParams",
@@ -27,8 +27,6 @@ __all__ = [
     "build_generator_cp",
     "build_generator_dense",
 ]
-
-_MAX_DENSE_SITES = 14
 
 _ID = np.eye(2)
 # shift matrices on a single node: _DOWN maps 1 -> 0, _UP maps 0 -> 1
@@ -133,8 +131,9 @@ def build_generator_dense(net: Network, params: ModelParams) -> np.ndarray:
     oracle the factored form is checked against.
     """
     n_sites = net.n_nodes
-    if n_sites > _MAX_DENSE_SITES:
-        raise ValueError(f"refusing dense generator for N={n_sites} > {_MAX_DENSE_SITES}")
+    if n_sites > MAX_DENSE_MATRIX_SITES:
+        raise ValueError(
+            f"refusing dense generator for N={n_sites} > {MAX_DENSE_MATRIX_SITES}")
     dim = 1 << n_sites
     src = np.arange(dim)
     bits = [(src >> (n_sites - 1 - n)) & 1 for n in range(n_sites)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ObservationSeries
-from .forward import SolverConfig
+from .forward import SolverAccuracyError, SolverConfig, SubstepLimitError
 from .generator import ModelParams
 from .graphs import Network, all_pairs, network_distance
 from .likelihood import log_likelihood
@@ -25,7 +25,6 @@ __all__ = [
     "McmcChain",
     "initial_scores",
     "initial_guess",
-    "propose_toggle",
     "ToggleProposer",
     "NoReplacementProposer",
     "mh_ratio",
@@ -87,13 +86,6 @@ def initial_guess(scores, mode="threshold", rng=None) -> Network:
     return Network(n, chosen)
 
 
-def propose_toggle(net: Network, rng):
-    """Toggle one uniformly chosen link; returns (new network, link)."""
-    pairs = all_pairs(net.n_nodes)
-    pair = pairs[int(rng.integers(len(pairs)))]
-    return net.with_edge_toggled(pair), pair
-
-
 class ToggleProposer:
     """Stateless uniform link-toggle proposal."""
 
@@ -101,7 +93,10 @@ class ToggleProposer:
         self._rng = rng
 
     def propose(self, net):
-        return propose_toggle(net, self._rng)
+        """Toggle one uniformly chosen link; returns (new network, link)."""
+        pairs = all_pairs(net.n_nodes)
+        pair = pairs[int(self._rng.integers(len(pairs)))]
+        return net.with_edge_toggled(pair), pair
 
 
 class NoReplacementProposer:
@@ -173,8 +168,10 @@ def maximize_loglike(loglike_fn, g0: Network, n_eval, proposal="toggle",
 
     Runs n_eval proposal steps from g0: each proposal is accepted when a
     uniform draw is below min(ratio, 1).  Values are cached per edge set,
-    since rejected chains revisit networks.  On a solver error the chain
-    stops and returns the partial result with aborted set.
+    since rejected chains revisit networks.  On a solver error
+    (SolverAccuracyError, SubstepLimitError, FloatingPointError) the chain
+    stops and returns the partial result with aborted set; any other
+    exception propagates.
     """
     if n_eval < 1:
         raise ValueError("n_eval must be >= 1")
@@ -205,7 +202,8 @@ def maximize_loglike(loglike_fn, g0: Network, n_eval, proposal="toggle",
         candidate, _ = proposer.propose(current)
         try:
             candidate_ll = evaluate(candidate)
-        except Exception as exc:  # solver failure: keep partial results
+        except (SolverAccuracyError, SubstepLimitError,
+                FloatingPointError) as exc:  # keep partial results
             aborted = True
             error = f"{type(exc).__name__}: {exc}"
             break

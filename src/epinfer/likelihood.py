@@ -5,20 +5,23 @@ property, so each factor is a single transition probability.  Repeated
 (source state, interval length) combinations are solved once: the TT path
 evolves each distinct source a single time and reads off every needed
 target, the dense path computes one matrix exponential per distinct
-interval length.
+interval length.  A single TT transition probability runs the same path
+on one (source, target, interval) triple.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .datagen import ObservationSeries
-from .forward import (SolverConfig, SolverAccuracyError, _NEGATIVE_TOL,
-                      evolve_tt, transition_prob_ssa)
+from .forward import (SolverConfig, SolverAccuracyError, evolve_tt,
+                      transition_prob_ssa)
 from .generator import ModelParams, build_generator_cp, build_generator_dense
 from .graphs import Network, all_pairs, fiedler_ordering, permute_network
 from .tt import state_index, tt_element, unit_state_tt
@@ -26,6 +29,7 @@ from .tt import state_index, tt_element, unit_state_tt
 __all__ = [
     "PROB_FLOOR",
     "LikelihoodReport",
+    "transition_prob_tt",
     "interval_probabilities",
     "log_likelihood",
     "contrast_matrix",
@@ -35,6 +39,8 @@ __all__ = [
 # Transition probabilities below this are floored before taking logs so a
 # single tiny factor cannot produce -inf on the tt/dense paths.
 PROB_FLOOR = 1e-300
+# TT entries this far below zero indicate solver failure, not roundoff.
+_NEGATIVE_TOL = 1e-8
 
 _SOLVERS = ("tt", "dense", "ssa")
 
@@ -72,30 +78,56 @@ def _intervals(obs: ObservationSeries):
     return dts
 
 
-def _probs_tt(net, params, obs, cfg):
-    if cfg.use_fiedler_ordering and net.n_nodes >= 2:
-        order = fiedler_ordering(net)
-    else:
-        order = np.arange(net.n_nodes)
+def _map_jobs(fn, tasks, jobs):
+    """[fn(task) for task in tasks], over up to `jobs` worker processes.
+
+    Workers are spawned, not forked: forking a process whose BLAS threads
+    are running is unsafe.  Results come back in task order.
+    """
+    if jobs > 1 and len(tasks) > 1:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
+                                 mp_context=ctx) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
+
+
+def _probs_tt(net, params, sources, targets, dts, cfg):
+    """TT probability of each (sources[k] -> targets[k] over dts[k]).
+
+    The generator and the states are permuted by the Fiedler ordering of
+    the network, which keeps TT ranks low for weakly coupled node groups.
+    """
+    order = fiedler_ordering(net) if net.n_nodes >= 2 else np.arange(net.n_nodes)
     pnet = permute_network(net, order)
     gen = build_generator_cp(pnet, params)
-    pstates = obs.states[:, order]
-    dts = _intervals(obs)
+    sources = np.asarray(sources, dtype=np.uint8)[:, order]
+    targets = np.asarray(targets, dtype=np.uint8)[:, order]
     groups = {}
     for k, dt in enumerate(dts):
-        key = (pstates[k].tobytes(), dt)
+        key = (sources[k].tobytes(), dt)
         groups.setdefault(key, []).append(k)
     probs = np.empty(len(dts))
     for (src_bytes, dt), members in groups.items():
         src = np.frombuffer(src_bytes, dtype=np.uint8)
         evolved = evolve_tt(gen, unit_state_tt(src), dt, cfg)
         for k in members:
-            value = tt_element(evolved, pstates[k + 1])
+            value = tt_element(evolved, targets[k])
             if value < -_NEGATIVE_TOL:
                 raise SolverAccuracyError(
-                    f"interval {k}: probability {value} below -{_NEGATIVE_TOL}")
+                    f"interval {k}: probability {value} below -{_NEGATIVE_TOL}; "
+                    "tighten tt_tol")
             probs[k] = min(max(value, 0.0), 1.0)
     return probs
+
+
+def transition_prob_tt(net: Network, params: ModelParams, x_a, x_b, dt,
+                       cfg: SolverConfig = None) -> float:
+    """Probability of moving from state x_a to x_b over dt, TT path."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    cfg = cfg or SolverConfig()
+    return float(_probs_tt(net, params, [x_a], [x_b], [dt], cfg)[0])
 
 
 def _probs_dense(net, params, obs):
@@ -130,14 +162,7 @@ def _probs_ssa(net, params, obs, n_ssa, seed, jobs):
     tasks = [(net, params, obs.states[chunk], obs.states[chunk + 1],
               [dts[k] for k in chunk], n_ssa, seed, chunk.tolist())
              for chunk in chunks if len(chunk)]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_ssa_chunk, tasks))
-    else:
-        parts = [_ssa_chunk(task) for task in tasks]
-    return np.concatenate(parts)
+    return np.concatenate(_map_jobs(_ssa_chunk, tasks, jobs))
 
 
 def interval_probabilities(net: Network, params: ModelParams,
@@ -156,7 +181,8 @@ def interval_probabilities(net: Network, params: ModelParams,
         raise ValueError("network and observations disagree on node count")
     cfg = cfg or SolverConfig()
     if solver == "tt":
-        return _probs_tt(net, params, obs, cfg)
+        return _probs_tt(net, params, obs.states[:-1], obs.states[1:],
+                         _intervals(obs), cfg)
     if solver == "dense":
         return _probs_dense(net, params, obs)
     return _probs_ssa(net, params, obs, n_ssa, ssa_seed, jobs)
@@ -189,28 +215,34 @@ def log_likelihood(net: Network, params: ModelParams, obs: ObservationSeries,
                             n_floored=n_floored, solver_used=solver)
 
 
+def _toggle_gaps(task):
+    truth, obs, params, solver, cfg, n_ssa, ssa_seed = task
+    ref = log_likelihood(truth, params, obs, solver, cfg, n_ssa, ssa_seed)
+    n = truth.n_nodes
+    gaps = np.zeros((n, n))
+    for i, j in all_pairs(n):
+        toggled = truth.with_edge_toggled((i, j))
+        rep = log_likelihood(toggled, params, obs, solver, cfg, n_ssa, ssa_seed)
+        gaps[i, j] = gaps[j, i] = rep.log10_like - ref.log10_like
+    return gaps
+
+
 def contrast_matrix(truth: Network, datasets, params: ModelParams,
                     solver="tt", cfg: SolverConfig = None, n_ssa=1000,
-                    ssa_seed=None) -> np.ndarray:
+                    ssa_seed=None, jobs=1) -> np.ndarray:
     """Mean log10-likelihood gap of every single-link toggle of truth.
 
     Entry (m, n) is the mean over datasets of log10 L(truth with {m, n}
     toggled) - log10 L(truth); the matrix is symmetric with zero diagonal.
+    jobs > 1 spreads the datasets over worker processes; the result does
+    not depend on it.
     """
     datasets = list(datasets)
     if not datasets:
         raise ValueError("need at least one dataset")
-    n = truth.n_nodes
-    total = np.zeros((n, n))
-    for obs in datasets:
-        ref = log_likelihood(truth, params, obs, solver, cfg, n_ssa, ssa_seed)
-        for i, j in all_pairs(n):
-            toggled = truth.with_edge_toggled((i, j))
-            rep = log_likelihood(toggled, params, obs, solver, cfg, n_ssa, ssa_seed)
-            gap = rep.log10_like - ref.log10_like
-            total[i, j] += gap
-            total[j, i] += gap
-    return total / len(datasets)
+    tasks = [(truth, obs, params, solver, cfg, n_ssa, ssa_seed)
+             for obs in datasets]
+    return sum(_map_jobs(_toggle_gaps, tasks, jobs)) / len(datasets)
 
 
 def serialize_contrast(matrix) -> str:

@@ -34,7 +34,10 @@ __all__ = [
     "cp_to_dense",
 ]
 
-_MAX_DENSE_SITES = 24
+# Largest N expanded to a dense 2^N vector, and to a dense 2^N x 2^N
+# matrix (a 2^14-square float64 matrix is 2 GiB).
+MAX_DENSE_VECTOR_SITES = 24
+MAX_DENSE_MATRIX_SITES = 14
 
 
 @dataclass
@@ -142,8 +145,9 @@ def tt_element(p: TTVector, x) -> float:
 
 def tt_to_dense(p: TTVector) -> np.ndarray:
     """Full vector of length 2^N (guarded against large N)."""
-    if p.n_sites > _MAX_DENSE_SITES:
-        raise ValueError(f"refusing dense expansion for N={p.n_sites} > {_MAX_DENSE_SITES}")
+    if p.n_sites > MAX_DENSE_VECTOR_SITES:
+        raise ValueError(
+            f"refusing dense expansion for N={p.n_sites} > {MAX_DENSE_VECTOR_SITES}")
     out = p.cores[0].reshape(2, -1)
     for core in p.cores[1:]:
         out = out @ core.reshape(core.shape[0], -1)
@@ -283,8 +287,9 @@ def cp_apply(op: CPOperator, p: TTVector) -> TTVector:
 
 def cp_to_dense(op: CPOperator) -> np.ndarray:
     """Full 2^N x 2^N matrix of a Kronecker-term operator (guarded)."""
-    if op.n_sites > 14:
-        raise ValueError(f"refusing dense operator for N={op.n_sites} > 14")
+    if op.n_sites > MAX_DENSE_MATRIX_SITES:
+        raise ValueError(
+            f"refusing dense operator for N={op.n_sites} > {MAX_DENSE_MATRIX_SITES}")
     dim = 1 << op.n_sites
     total = np.zeros((dim, dim))
     for coeff, factors in op.terms:

@@ -17,6 +17,19 @@ class TestSimulateEpidemic:
         np.testing.assert_array_equal(a.nodes, b.nodes)
         np.testing.assert_array_equal(a.values, b.values)
 
+    def test_stream_pinned(self):
+        # exact record of one seeded run: a change to the Gillespie kernel's
+        # random draws, or their order, changes every generated dataset
+        params = ModelParams(beta=1.0, gamma=0.5, eps=0.1)
+        traj = simulate_epidemic(chain_network(5), params, [1, 0, 0, 0, 0],
+                                 50.0, np.random.default_rng(2024))
+        final = traj.initial_state.copy()
+        for node, value in zip(traj.nodes, traj.values):
+            final[node] = value
+        assert traj.n_events == 148
+        assert traj.times[-1] == 49.110857331208045
+        assert final.tolist() == [0, 1, 1, 0, 1]
+
     def test_short_horizon_no_events(self, params):
         net = chain_network(3)
         traj = simulate_epidemic(net, params, [1, 0, 0], 1e-9,

@@ -9,8 +9,8 @@ from epinfer import (ModelParams, Network, SolverConfig, SubstepLimitError,
                      evolve_tt, transition_prob_dense, transition_prob_ssa,
                      transition_prob_tt)
 from epinfer.graphs import fiedler_ordering, permute_network
-from epinfer.tt import (tt_inner, tt_ones, tt_round, tt_to_dense, unit_state_tt,
-                        state_index)
+from epinfer.tt import (tt_element, tt_inner, tt_ones, tt_round, tt_to_dense,
+                        unit_state_tt, state_index)
 
 from conftest import random_network, random_state
 
@@ -137,11 +137,10 @@ class TestTransitionProbTT:
         rng = np.random.default_rng(48)
         net = random_network(rng, 5)
         xa, xb = random_state(rng, 5), random_state(rng, 5)
-        p_on = transition_prob_tt(net, params, xa, xb, 0.2,
-                                  SolverConfig(use_fiedler_ordering=True))
-        p_off = transition_prob_tt(net, params, xa, xb, 0.2,
-                                   SolverConfig(use_fiedler_ordering=False))
-        assert p_on == pytest.approx(p_off, rel=1e-8, abs=1e-12)
+        p_ordered = transition_prob_tt(net, params, xa, xb, 0.2)
+        evolved = evolve_tt(build_generator_cp(net, params), unit_state_tt(xa), 0.2)
+        p_unpermuted = tt_element(evolved, xb)
+        assert p_ordered == pytest.approx(p_unpermuted, rel=1e-8, abs=1e-12)
 
     def test_rejects_nonpositive_dt(self, params):
         net = chain_network(3)
@@ -226,3 +225,12 @@ class TestTransitionProbSSA:
         b = transition_prob_ssa(net, params, xa, xb, 0.3, 300,
                                 np.random.default_rng(77))
         assert a == b
+
+    def test_stream_pinned(self):
+        # exact value of a seeded estimate: a change to the Gillespie
+        # kernel's random draws, or their order, changes it
+        params = ModelParams(beta=1.0, gamma=0.5, eps=0.1)
+        p = transition_prob_ssa(chain_network(4), params, [1, 0, 0, 0],
+                                [1, 1, 0, 0], 0.7, 400,
+                                np.random.default_rng(2025))
+        assert p == 0.2425

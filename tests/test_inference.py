@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from epinfer import (Network, NoReplacementProposer, ObservationSeries,
-                     chain_network, initial_guess, initial_scores,
-                     log_likelihood, maximize_loglike, mcmc_optimize, mh_ratio,
-                     network_distance, propose_toggle, resample_uniform,
-                     serialize_chain, simulate_epidemic)
+                     SolverAccuracyError, ToggleProposer, chain_network,
+                     initial_guess, initial_scores, log_likelihood,
+                     maximize_loglike, mcmc_optimize, mh_ratio,
+                     network_distance, resample_uniform, serialize_chain,
+                     simulate_epidemic)
 from epinfer.graphs import all_pairs, network_from_bits
 
 from conftest import random_network
@@ -80,7 +81,7 @@ class TestProposals:
         net = Network(2)
         rng = np.random.default_rng(2)
         for _ in range(5):
-            proposed, pair = propose_toggle(net, rng)
+            proposed, pair = ToggleProposer(2, rng).propose(net)
             assert pair == (0, 1)
 
     def test_toggle_uniformity(self):
@@ -89,7 +90,7 @@ class TestProposals:
         counts = {pair: 0 for pair in all_pairs(4)}
         n_draws = 100_000
         for _ in range(n_draws):
-            _, pair = propose_toggle(net, rng)
+            _, pair = ToggleProposer(4, rng).propose(net)
             counts[pair] += 1
         p = 1 / 6
         se = math.sqrt(p * (1 - p) / n_draws)
@@ -99,7 +100,7 @@ class TestProposals:
     def test_toggle_twice_restores(self):
         rng = np.random.default_rng(4)
         net = chain_network(4)
-        proposed, pair = propose_toggle(net, rng)
+        proposed, pair = ToggleProposer(4, rng).propose(net)
         assert proposed.with_edge_toggled(pair) == net
 
     def test_norepl_block_covers_all_pairs(self):
@@ -256,7 +257,7 @@ class TestMaximizeLoglike:
     def test_aborts_cleanly_on_solver_failure(self):
         def loglike(net):
             if len(net.edges) >= 2:
-                raise RuntimeError("boom")
+                raise SolverAccuracyError("boom")
             return float(len(net.edges))
 
         chain = maximize_loglike(loglike, Network(3), 50, "norepl",
@@ -264,6 +265,16 @@ class TestMaximizeLoglike:
         assert chain.aborted
         assert "boom" in chain.error
         assert 1 <= len(chain.samples) <= 51
+
+    def test_programming_error_propagates(self):
+        def loglike(net):
+            if len(net.edges) >= 2:
+                raise TypeError("bug")
+            return float(len(net.edges))
+
+        with pytest.raises(TypeError, match="bug"):
+            maximize_loglike(loglike, Network(3), 50, "norepl",
+                             np.random.default_rng(15))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
