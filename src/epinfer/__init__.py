@@ -17,8 +17,8 @@ from .tt import (TTVector, CPOperator, state_index, index_state, unit_state_tt,
 from .generator import (ModelParams, infected_neighbors, transition_rate,
                         reaction_rates, exit_rate_bound, build_generator_cp,
                         build_generator_dense)
-from .forward import (SolverConfig, SolverAccuracyError, SubstepLimitError,
-                      evolve_tt, transition_prob_dense, dense_propagator,
+from .forward import (SolverAccuracyError, SubstepLimitError, evolve_tt,
+                      transition_prob_dense, dense_propagator,
                       transition_prob_ssa)
 from .datagen import (EventTrajectory, ObservationSeries, simulate_epidemic,
                       resample_uniform, parse_observations,

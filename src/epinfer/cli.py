@@ -15,7 +15,6 @@ import numpy as np
 
 from .datagen import (parse_observations, resample_uniform,
                       serialize_observations, simulate_epidemic)
-from .forward import SolverConfig
 from .generator import ModelParams
 from .graphs import (Network, all_pairs, austria_network, chain_network,
                      fiedler_ordering, fiedler_vector, network_distance,
@@ -112,8 +111,7 @@ def cmd_likelihood(args) -> int:
     net = _load_network(args)
     obs = parse_observations(Path(args.obs).read_text())
     params = _params(args)
-    cfg = SolverConfig(tt_tol=args.tt_tol)
-    report = log_likelihood(net, params, obs, solver=args.solver, cfg=cfg,
+    report = log_likelihood(net, params, obs, solver=args.solver,
                             n_ssa=args.nssa, ssa_seed=args.seed, jobs=args.jobs)
     print(f"log10_likelihood\t{report.log10_like:.10g}")
     print(f"n_floored\t{report.n_floored}")
@@ -126,7 +124,6 @@ def cmd_likelihood(args) -> int:
 def cmd_infer(args) -> int:
     obs = parse_observations(Path(args.obs).read_text())
     params = _params(args)
-    cfg = SolverConfig(tt_tol=args.tt_tol)
     if args.neval < 1:
         raise UsageError("--neval must be >= 1")
     rng = np.random.default_rng(args.seed)
@@ -145,7 +142,7 @@ def cmd_infer(args) -> int:
     if args.truth:
         truth = parse_network(Path(args.truth).read_text())
     chain = mcmc_optimize(obs, params, g0, args.neval, proposal=args.proposal,
-                          solver=args.solver, cfg=cfg, rng=rng,
+                          solver=args.solver, rng=rng,
                           n_ssa=args.nssa, ssa_seed=args.seed,
                           reference=truth)
     out = Path(args.out)
@@ -164,14 +161,12 @@ def cmd_infer(args) -> int:
 def cmd_contrast(args) -> int:
     truth = parse_network(Path(args.truth).read_text())
     params = _params(args)
-    cfg = SolverConfig(tt_tol=args.tt_tol)
     obs_files = sorted(Path(args.obs_dir).glob("*.obs"))
     if not obs_files:
         raise ValueError(f"no .obs files in {args.obs_dir}")
     datasets = [parse_observations(p.read_text()) for p in obs_files]
     matrix = contrast_matrix(truth, datasets, params, solver=args.solver,
-                             cfg=cfg, n_ssa=args.nssa, ssa_seed=args.seed,
-                             jobs=args.jobs)
+                             n_ssa=args.nssa, ssa_seed=args.seed, jobs=args.jobs)
     Path(args.out).write_text(serialize_contrast(matrix))
     print(f"wrote contrast for {len(datasets)} dataset(s) to {args.out}")
     return 0
@@ -195,7 +190,6 @@ def _add_rates(p):
 
 def _add_solver(p):
     p.add_argument("--solver", choices=("tt", "dense", "ssa"), default="tt")
-    p.add_argument("--tt-tol", type=float, default=1e-6, dest="tt_tol")
     p.add_argument("--nssa", type=int, default=1000,
                    help="trajectories per interval for the ssa solver")
 

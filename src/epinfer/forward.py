@@ -18,7 +18,6 @@ after every operator application.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -30,7 +29,6 @@ from .tt import (CPOperator, TTVector, cp_apply, state_index, tt_add, tt_inner,
                  tt_ones, tt_round, tt_scale)
 
 __all__ = [
-    "SolverConfig",
     "SolverAccuracyError",
     "SubstepLimitError",
     "evolve_tt",
@@ -39,12 +37,17 @@ __all__ = [
     "transition_prob_ssa",
 ]
 
-# Absolute pointwise accuracy target of one evolve.  tt_tol budgets the
-# relative error of resolvable probabilities; these floors keep rare-event
-# entries (down to ~1e-8 and below) and the mass deficit accurate on an
-# absolute scale, which per-application rounding at tt_tol alone cannot do.
+# Fixed absolute accuracy of one evolve.  The likelihood multiplies rare
+# transition probabilities, so entries far below any relative tolerance
+# (1e-13 <= p <= 1e-8 is common) must still be right: every rounding is
+# held to _ABS_ACC split over the operator applications, and the Poisson
+# series drops at most _TAIL_ABS of mass split over the substeps.  The
+# mass deficit of the result is therefore of order 1e-13.
 _ABS_ACC = 1e-13
 _TAIL_ABS = 1e-14
+# Uniformization substeps one evolve may take; beyond this the interval is
+# too long for the solver to finish in reasonable time.
+_MAX_SUBSTEPS = 10_000
 
 
 class SolverAccuracyError(RuntimeError):
@@ -52,34 +55,25 @@ class SolverAccuracyError(RuntimeError):
 
 
 class SubstepLimitError(RuntimeError):
-    """Uniformization needs more substeps than the configured cap."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs of the tensor-train forward solve."""
-
-    tt_tol: float = 1e-6
-    max_substeps: int = 10_000
-
-    def __post_init__(self):
-        if not 0.0 < self.tt_tol < 1.0:
-            raise ValueError(f"tt_tol must be in (0, 1), got {self.tt_tol}")
-        if self.max_substeps < 1:
-            raise ValueError("max_substeps must be >= 1")
+    """Uniformization needs more substeps than _MAX_SUBSTEPS."""
 
 
 def _poisson_weights(lam, tail_tol):
-    """Weights e^-lam lam^k / k! until the remaining tail mass < tail_tol."""
+    """Weights e^-lam lam^k / k! until the remaining tail mass < tail_tol.
+
+    The series also ends once a term no longer changes the partial sum:
+    a tail_tol below double resolution of 1 would otherwise never be met.
+    """
     weights = [math.exp(-lam)]
     cum = weights[0]
     k = 0
     while 1.0 - cum >= tail_tol:
         k += 1
-        weights.append(weights[-1] * lam / k)
-        cum += weights[-1]
-        if k > 1000:
-            raise RuntimeError("Poisson series failed to converge")
+        w = weights[-1] * lam / k
+        if cum + w == cum:
+            break
+        weights.append(w)
+        cum += w
     return np.array(weights)
 
 
@@ -89,14 +83,13 @@ def _assert_finite(p: TTVector):
             raise FloatingPointError("non-finite values in evolved state")
 
 
-def evolve_tt(gen: CPOperator, p0: TTVector, dt, cfg: SolverConfig = None) -> TTVector:
+def evolve_tt(gen: CPOperator, p0: TTVector, dt) -> TTVector:
     """Propagate a TT probability vector by exp(gen * dt).
 
     The input must be a probability vector (entries summing to 1 within
     1e-8); the output is not renormalized, so its mass deficit measures
     the accumulated truncation error.
     """
-    cfg = cfg or SolverConfig()
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     if gen.n_sites != p0.n_sites:
@@ -111,14 +104,13 @@ def evolve_tt(gen: CPOperator, p0: TTVector, dt, cfg: SolverConfig = None) -> TT
 
     lam_total = gen.exit_rate_bound
     n_sub = max(1, math.ceil(lam_total * dt))
-    if n_sub > cfg.max_substeps:
+    if n_sub > _MAX_SUBSTEPS:
         raise SubstepLimitError(
-            f"{n_sub} substeps needed, cap is {cfg.max_substeps}")
+            f"{n_sub} substeps needed, cap is {_MAX_SUBSTEPS}")
     lam = lam_total * dt / n_sub
-    tail_tol = min(cfg.tt_tol / 10.0, _TAIL_ABS / n_sub)
-    weights = _poisson_weights(lam, tail_tol)
+    weights = _poisson_weights(lam, _TAIL_ABS / n_sub)
     n_apply = max((len(weights) - 1) * n_sub, 1)
-    tol_app = min(cfg.tt_tol, _ABS_ACC) / n_apply
+    tol_app = _ABS_ACC / n_apply
 
     identity = [np.eye(2)] * gen.n_sites
     shifted = CPOperator(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Network
-from .tt import MAX_DENSE_MATRIX_SITES, CPOperator, state_index
+from .tt import MAX_DENSE_MATRIX_SITES, CPOperator
 
 __all__ = [
     "ModelParams",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ObservationSeries
-from .forward import SolverAccuracyError, SolverConfig, SubstepLimitError
+from .forward import SolverAccuracyError, SubstepLimitError
 from .generator import ModelParams
 from .graphs import Network, all_pairs, network_distance
 from .likelihood import log_likelihood
@@ -163,7 +163,7 @@ _PROPOSERS = {"toggle": ToggleProposer, "norepl": NoReplacementProposer}
 
 
 def maximize_loglike(loglike_fn, g0: Network, n_eval, proposal="toggle",
-                     rng=None, reference=None, use_cache=True) -> McmcChain:
+                     rng=None, reference=None) -> McmcChain:
     """Metropolis-Hastings ascent over networks for a black-box objective.
 
     Runs n_eval proposal steps from g0: each proposal is accepted when a
@@ -181,8 +181,6 @@ def maximize_loglike(loglike_fn, g0: Network, n_eval, proposal="toggle",
     cache = {}
 
     def evaluate(net):
-        if not use_cache:
-            return loglike_fn(net)
         key = net.edge_bits
         if key not in cache:
             cache[key] = loglike_fn(net)
@@ -220,16 +218,15 @@ def maximize_loglike(loglike_fn, g0: Network, n_eval, proposal="toggle",
 
 
 def mcmc_optimize(obs: ObservationSeries, params: ModelParams, g0: Network,
-                  n_eval, proposal="toggle", solver="tt",
-                  cfg: SolverConfig = None, rng=None, n_ssa=1000,
-                  ssa_seed=None, reference=None, use_cache=True) -> McmcChain:
+                  n_eval, proposal="toggle", solver="tt", rng=None,
+                  n_ssa=1000, ssa_seed=None, reference=None) -> McmcChain:
     """Likelihood maximization over networks for one observation series."""
 
     def objective(net):
-        return log_likelihood(net, params, obs, solver, cfg, n_ssa, ssa_seed).log_like
+        return log_likelihood(net, params, obs, solver, n_ssa, ssa_seed).log_like
 
     return maximize_loglike(objective, g0, n_eval, proposal, rng,
-                            reference=reference, use_cache=use_cache)
+                            reference=reference)
 
 
 def serialize_chain(chain: McmcChain) -> str:

@@ -20,11 +20,10 @@ import numpy as np
 import scipy.linalg
 
 from .datagen import ObservationSeries
-from .forward import (SolverConfig, SolverAccuracyError, evolve_tt,
-                      transition_prob_ssa)
+from .forward import SolverAccuracyError, evolve_tt, transition_prob_ssa
 from .generator import ModelParams, build_generator_cp, build_generator_dense
 from .graphs import Network, all_pairs, fiedler_ordering, permute_network
-from .tt import state_index, tt_element, unit_state_tt
+from .tt import tt_element, unit_state_tt
 
 __all__ = [
     "PROB_FLOOR",
@@ -92,7 +91,7 @@ def _map_jobs(fn, tasks, jobs):
     return [fn(task) for task in tasks]
 
 
-def _probs_tt(net, params, sources, targets, dts, cfg):
+def _probs_tt(net, params, sources, targets, dts):
     """TT probability of each (sources[k] -> targets[k] over dts[k]).
 
     The generator and the states are permuted by the Fiedler ordering of
@@ -110,35 +109,39 @@ def _probs_tt(net, params, sources, targets, dts, cfg):
     probs = np.empty(len(dts))
     for (src_bytes, dt), members in groups.items():
         src = np.frombuffer(src_bytes, dtype=np.uint8)
-        evolved = evolve_tt(gen, unit_state_tt(src), dt, cfg)
+        evolved = evolve_tt(gen, unit_state_tt(src), dt)
         for k in members:
             value = tt_element(evolved, targets[k])
             if value < -_NEGATIVE_TOL:
                 raise SolverAccuracyError(
-                    f"interval {k}: probability {value} below -{_NEGATIVE_TOL}; "
-                    "tighten tt_tol")
+                    f"interval {k}: probability {value} below -{_NEGATIVE_TOL}")
             probs[k] = min(max(value, 0.0), 1.0)
     return probs
 
 
-def transition_prob_tt(net: Network, params: ModelParams, x_a, x_b, dt,
-                       cfg: SolverConfig = None) -> float:
+def transition_prob_tt(net: Network, params: ModelParams, x_a, x_b, dt) -> float:
     """Probability of moving from state x_a to x_b over dt, TT path."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    cfg = cfg or SolverConfig()
-    return float(_probs_tt(net, params, [x_a], [x_b], [dt], cfg)[0])
+    return float(_probs_tt(net, params, [x_a], [x_b], [dt])[0])
 
 
-def _probs_dense(net, params, obs):
+def _probs_dense(net, params, sources, targets, dts):
+    """Dense probability of each (sources[k] -> targets[k] over dts[k]).
+
+    One matrix exponential per distinct interval length.  A propagator
+    viewed as a (2,)*2N tensor is indexed by the target bits, then the
+    source bits, in the big-endian state order of the tt module.
+    """
     gen = build_generator_dense(net, params)
-    dts = _intervals(obs)
-    props = {dt: scipy.linalg.expm(gen * dt) for dt in set(dts)}
-    idx = [state_index(row) for row in obs.states]
+    sources, targets = np.asarray(sources), np.asarray(targets)
+    dts = np.asarray(dts)
     probs = np.empty(len(dts))
-    for k, dt in enumerate(dts):
-        probs[k] = max(props[dt][idx[k + 1], idx[k]], 0.0)
-    return probs
+    for dt in set(dts.tolist()):
+        rows = dts == dt
+        prop = scipy.linalg.expm(gen * dt).reshape((2,) * (2 * net.n_nodes))
+        probs[rows] = prop[(*targets[rows].T, *sources[rows].T)]
+    return np.maximum(probs, 0.0)
 
 
 def _ssa_chunk(task):
@@ -153,21 +156,19 @@ def _ssa_chunk(task):
     return out
 
 
-def _probs_ssa(net, params, obs, n_ssa, seed, jobs):
+def _probs_ssa(net, params, sources, targets, dts, n_ssa, seed, jobs):
     if seed is None:
         raise ValueError("ssa solver needs a seed")
-    dts = _intervals(obs)
     indices = np.arange(len(dts))
     chunks = np.array_split(indices, max(1, min(jobs, len(dts))))
-    tasks = [(net, params, obs.states[chunk], obs.states[chunk + 1],
+    tasks = [(net, params, sources[chunk], targets[chunk],
               [dts[k] for k in chunk], n_ssa, seed, chunk.tolist())
              for chunk in chunks if len(chunk)]
     return np.concatenate(_map_jobs(_ssa_chunk, tasks, jobs))
 
 
 def interval_probabilities(net: Network, params: ModelParams,
-                           obs: ObservationSeries, solver="tt",
-                           cfg: SolverConfig = None, n_ssa=1000,
+                           obs: ObservationSeries, solver="tt", n_ssa=1000,
                            ssa_seed=None, jobs=1) -> np.ndarray:
     """Raw transition probability of every observation interval.
 
@@ -179,26 +180,25 @@ def interval_probabilities(net: Network, params: ModelParams,
         raise ValueError(f"unknown solver {solver!r}, expected one of {_SOLVERS}")
     if net.n_nodes != obs.n_nodes:
         raise ValueError("network and observations disagree on node count")
-    cfg = cfg or SolverConfig()
+    sources, targets, dts = obs.states[:-1], obs.states[1:], _intervals(obs)
     if solver == "tt":
-        return _probs_tt(net, params, obs.states[:-1], obs.states[1:],
-                         _intervals(obs), cfg)
+        return _probs_tt(net, params, sources, targets, dts)
     if solver == "dense":
-        return _probs_dense(net, params, obs)
-    return _probs_ssa(net, params, obs, n_ssa, ssa_seed, jobs)
+        return _probs_dense(net, params, sources, targets, dts)
+    return _probs_ssa(net, params, sources, targets, dts, n_ssa, ssa_seed, jobs)
 
 
 def log_likelihood(net: Network, params: ModelParams, obs: ObservationSeries,
-                   solver="tt", cfg: SolverConfig = None, n_ssa=1000,
-                   ssa_seed=None, jobs=1) -> LikelihoodReport:
+                   solver="tt", n_ssa=1000, ssa_seed=None,
+                   jobs=1) -> LikelihoodReport:
     """Log-likelihood of the observations under a candidate network.
 
     tt/dense factors are floored at PROB_FLOOR (counted in n_floored);
     an SSA factor of exactly zero is reported as an unresolved -inf
     likelihood rather than floored.
     """
-    probs = interval_probabilities(net, params, obs, solver, cfg, n_ssa,
-                                   ssa_seed, jobs)
+    probs = interval_probabilities(net, params, obs, solver, n_ssa, ssa_seed,
+                                   jobs)
     if solver == "ssa":
         per_interval = np.full(len(probs), -np.inf)
         positive = probs > 0
@@ -216,20 +216,20 @@ def log_likelihood(net: Network, params: ModelParams, obs: ObservationSeries,
 
 
 def _toggle_gaps(task):
-    truth, obs, params, solver, cfg, n_ssa, ssa_seed = task
-    ref = log_likelihood(truth, params, obs, solver, cfg, n_ssa, ssa_seed)
+    truth, obs, params, solver, n_ssa, ssa_seed = task
+    ref = log_likelihood(truth, params, obs, solver, n_ssa, ssa_seed)
     n = truth.n_nodes
     gaps = np.zeros((n, n))
     for i, j in all_pairs(n):
         toggled = truth.with_edge_toggled((i, j))
-        rep = log_likelihood(toggled, params, obs, solver, cfg, n_ssa, ssa_seed)
+        rep = log_likelihood(toggled, params, obs, solver, n_ssa, ssa_seed)
         gaps[i, j] = gaps[j, i] = rep.log10_like - ref.log10_like
     return gaps
 
 
 def contrast_matrix(truth: Network, datasets, params: ModelParams,
-                    solver="tt", cfg: SolverConfig = None, n_ssa=1000,
-                    ssa_seed=None, jobs=1) -> np.ndarray:
+                    solver="tt", n_ssa=1000, ssa_seed=None,
+                    jobs=1) -> np.ndarray:
     """Mean log10-likelihood gap of every single-link toggle of truth.
 
     Entry (m, n) is the mean over datasets of log10 L(truth with {m, n}
@@ -240,8 +240,7 @@ def contrast_matrix(truth: Network, datasets, params: ModelParams,
     datasets = list(datasets)
     if not datasets:
         raise ValueError("need at least one dataset")
-    tasks = [(truth, obs, params, solver, cfg, n_ssa, ssa_seed)
-             for obs in datasets]
+    tasks = [(truth, obs, params, solver, n_ssa, ssa_seed) for obs in datasets]
     return sum(_map_jobs(_toggle_gaps, tasks, jobs)) / len(datasets)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from epinfer import (ModelParams, Network, SolverConfig, build_generator_cp,
+from epinfer import (ModelParams, Network, build_generator_cp,
                      build_generator_dense, chain_network, cp_to_dense,
                      initial_guess, initial_scores, log_likelihood,
                      maximize_loglike, mcmc_optimize, network_distance,
@@ -73,7 +73,6 @@ def test_criterion_1_generator_equivalence():
 def test_criterion_2_forward_solver_accuracy():
     start = time.time()
     rng = np.random.default_rng(20801)
-    cfg = SolverConfig(tt_tol=1e-6)
     dt = 0.1
     worst_rel = 0.0
     worst_mass = 0.0
@@ -85,7 +84,7 @@ def test_criterion_2_forward_solver_accuracy():
         p_dense = transition_prob_dense(net, PAPER_PARAMS, x_a, x_b, dt)
         order = fiedler_ordering(net)
         gen = build_generator_cp(permute_network(net, order), PAPER_PARAMS)
-        evolved = evolve_tt(gen, unit_state_tt(x_a[order]), dt, cfg)
+        evolved = evolve_tt(gen, unit_state_tt(x_a[order]), dt)
         p_tt = tt_element(evolved, x_b[order])
         worst_rel = max(worst_rel, abs(p_tt - p_dense) / max(p_dense, 1e-8))
         worst_mass = max(worst_mass, abs(1.0 - tt_inner(evolved, tt_ones(n))))
@@ -160,8 +159,7 @@ def test_criterion_6_fiedler_separator_rank():
     gen = build_generator_cp(permute_network(net, order), PAPER_PARAMS)
     x0 = np.zeros(6, dtype=np.uint8)
     x0[0] = 1
-    evolved = evolve_tt(gen, unit_state_tt(x0[order]), 1.0,
-                        SolverConfig(tt_tol=1e-8))
+    evolved = evolve_tt(gen, unit_state_tt(x0[order]), 1.0)
     separator_rank = tt_round(evolved, 1e-8).ranks[3]
     passed = components_grouped and separator_rank == 1
     report(6, "fiedler separator rank", passed,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from epinfer import (ModelParams, Network, SolverConfig, SubstepLimitError,
+from epinfer import (ModelParams, Network, SubstepLimitError,
                      build_generator_cp, chain_network, dense_propagator,
                      evolve_tt, transition_prob_dense, transition_prob_ssa,
                      transition_prob_tt)
@@ -19,18 +19,6 @@ def two_state_infection_prob(params, t):
     """Closed-form single-node probability of being infected at time t from 0."""
     rate = params.eps + params.gamma
     return params.eps / rate * (1.0 - math.exp(-rate * t))
-
-
-class TestSolverConfig:
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tt_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(tt_tol=1.5)
-
-    def test_rejects_bad_substeps(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_substeps=0)
 
 
 class TestEvolveTT:
@@ -52,7 +40,7 @@ class TestEvolveTT:
         net = random_network(rng, 5)
         gen = build_generator_cp(net, params)
         x0 = random_state(rng, 5)
-        out = evolve_tt(gen, unit_state_tt(x0), 0.1, SolverConfig(tt_tol=1e-6))
+        out = evolve_tt(gen, unit_state_tt(x0), 0.1)
         oracle = dense_propagator(net, params, 0.1)[:, state_index(x0)]
         err = np.linalg.norm(tt_to_dense(out) - oracle)
         assert err <= 1e-5 * np.linalg.norm(oracle)
@@ -77,19 +65,35 @@ class TestEvolveTT:
         rng = np.random.default_rng(45)
         net = random_network(rng, 5)
         gen = build_generator_cp(net, params)
-        cfg = SolverConfig(tt_tol=1e-6)
         p0 = unit_state_tt(random_state(rng, 5))
-        direct = evolve_tt(gen, p0, 0.3, cfg)
-        composed = evolve_tt(gen, evolve_tt(gen, p0, 0.1, cfg), 0.2, cfg)
+        direct = evolve_tt(gen, p0, 0.3)
+        composed = evolve_tt(gen, evolve_tt(gen, p0, 0.1), 0.2)
         err = np.linalg.norm(tt_to_dense(direct) - tt_to_dense(composed))
-        assert err <= 2 * cfg.tt_tol
+        assert err <= 2e-6
 
     def test_substep_cap(self, params):
         net = chain_network(4)
         gen = build_generator_cp(net, params)
         with pytest.raises(SubstepLimitError):
-            evolve_tt(gen, unit_state_tt([1, 0, 0, 0]), 1e6,
-                      SolverConfig(max_substeps=10))
+            evolve_tt(gen, unit_state_tt([1, 0, 0, 0]), 1e6)
+
+    def test_absolute_accuracy_of_rare_entries(self, params):
+        # probabilities far below any relative tolerance are still resolved
+        # on an absolute scale
+        rng = np.random.default_rng(47)
+        n_checked = 0
+        for _ in range(6):
+            net = random_network(rng, 6)
+            # from a single infected node, the many-event targets are rare
+            x0 = np.zeros(6, dtype=np.uint8)
+            x0[rng.integers(6)] = 1
+            gen = build_generator_cp(net, params)
+            p_tt = tt_to_dense(evolve_tt(gen, unit_state_tt(x0), 0.1))
+            oracle = dense_propagator(net, params, 0.1)[:, state_index(x0)]
+            rare = (oracle >= 1e-13) & (oracle <= 1e-8)
+            np.testing.assert_allclose(p_tt[rare], oracle[rare], rtol=1e-4, atol=0)
+            n_checked += int(rare.sum())
+        assert n_checked >= 10
 
     def test_rejects_unnormalized_input(self, params):
         net = chain_network(3)
@@ -106,7 +110,7 @@ class TestEvolveTT:
         gen = build_generator_cp(pnet, params)
         x0 = np.zeros(6, dtype=np.uint8)
         x0[0] = 1
-        out = evolve_tt(gen, unit_state_tt(x0[order]), 1.0, SolverConfig(tt_tol=1e-8))
+        out = evolve_tt(gen, unit_state_tt(x0[order]), 1.0)
         assert tt_round(out, 1e-8).ranks[3] == 1
 
 
@@ -121,14 +125,26 @@ class TestTransitionProbTT:
         p = transition_prob_tt(Network(1), params, [0], [1], 0.1)
         assert p == pytest.approx(9.749280287759415e-4, rel=1e-8)
 
+    def test_long_interval_single_node(self, params):
+        # 31 substeps: the Poisson tail target 1e-14/31 is too close to the
+        # double resolution of 1 for the partial sum to reach it
+        p = transition_prob_tt(Network(1), params, [0], [1], 61.5)
+        assert p == pytest.approx(two_state_infection_prob(params, 61.5), rel=1e-9)
+
+    def test_long_interval_matches_dense_oracle(self, params):
+        net = chain_network(3)
+        xa, xb = [1, 0, 0], [0, 1, 1]
+        p_tt = transition_prob_tt(net, params, xa, xb, 11.0)
+        p_dense = transition_prob_dense(net, params, xa, xb, 11.0)
+        assert p_tt == pytest.approx(p_dense, rel=1e-4)
+
     def test_matches_dense_oracle(self, params):
         rng = np.random.default_rng(47)
-        cfg = SolverConfig(tt_tol=1e-6)
         for _ in range(10):
             n = int(rng.integers(3, 7))
             net = random_network(rng, n)
             xa, xb = random_state(rng, n), random_state(rng, n)
-            p_tt = transition_prob_tt(net, params, xa, xb, 0.1, cfg)
+            p_tt = transition_prob_tt(net, params, xa, xb, 0.1)
             p_dense = transition_prob_dense(net, params, xa, xb, 0.1)
             if p_dense >= 1e-8:
                 assert abs(p_tt - p_dense) / p_dense <= 1e-5

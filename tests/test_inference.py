@@ -233,16 +233,11 @@ class TestMaximizeLoglike:
             calls.append(net.edge_bits)
             return -float(len(net.edges))
 
-        cached = maximize_loglike(loglike, Network(3), 40, "toggle",
-                                  np.random.default_rng(13), use_cache=True)
-        n_cached_calls = len(calls)
-        calls.clear()
-        uncached = maximize_loglike(loglike, Network(3), 40, "toggle",
-                                    np.random.default_rng(13), use_cache=False)
-        assert n_cached_calls < len(calls)
-        assert cached.best_network == uncached.best_network
-        assert [(r.edge_bits, r.accepted) for r in cached.samples] == \
-               [(r.edge_bits, r.accepted) for r in uncached.samples]
+        chain = maximize_loglike(loglike, Network(3), 40, "toggle",
+                                 np.random.default_rng(13))
+        assert len(calls) == len(set(calls))
+        for rec in chain.samples:
+            assert rec.log_like == loglike(network_from_bits(3, rec.edge_bits))
 
     def test_distance_trace(self):
         def loglike(net):
