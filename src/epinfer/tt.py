@@ -1,9 +1,13 @@
 """Tensor-train vectors over the 2^N state space and sum-of-Kronecker operators.
 
 A length-2^N vector indexed by binary node states is factorized into N
-linked cores of shape (r_left, 2, r_right).  Operators are kept as explicit
-lists of Kronecker terms (one 2x2 factor per node), which is exact and
-cheap at the network sizes this package targets.
+linked cores of shape (r_left, 2, r_right).  Operators are built as lists
+of Kronecker terms (one 2x2 factor per node).  They are applied in their
+TT-matrix (MPO) form, derived once per operator from the terms: cores of
+shape (r_left, 2, 2, r_right), compressed to the exact bond rank.  For the
+epidemic generator that rank is 2 + 2c, where c is the smaller count of
+nodes on either side of a bond with an edge crossing it, however many
+terms the operator has.
 
 State indexing is big-endian: state x maps to sum_n x_n * 2^(N-1-n) with
 node 0 the most significant bit, matching C-order flattening of the dense
@@ -13,6 +17,7 @@ tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +43,13 @@ __all__ = [
 # matrix (a 2^14-square float64 matrix is 2 GiB).
 MAX_DENSE_VECTOR_SITES = 24
 MAX_DENSE_MATRIX_SITES = 14
+# Relative accuracy of the MPO compression, in tt_round's sense.  The
+# block sum of the terms has exact low rank: its extra singular values are
+# roundoff, below 4e-16 of the operator's Frobenius norm on the chain and
+# Austria generators, while the ones kept are above 3e-3 of it at the
+# default rates.  A cut in that gap returns the exact rank and changes the
+# operator by at most _MPO_TOL of its norm.
+_MPO_TOL = 1e-14
 
 
 @dataclass
@@ -80,6 +92,8 @@ class CPOperator:
     Each term is a (coefficient, [N 2x2 factors]) pair.  exit_rate_bound,
     when set by the generator builder, is an upper bound on the largest
     total exit rate of any state and drives uniformization step control.
+    Treated as immutable after construction: the MPO form is derived from
+    the terms on first use and kept.
     """
 
     terms: list
@@ -99,6 +113,20 @@ class CPOperator:
     @property
     def n_sites(self) -> int:
         return len(self.terms[0][1])
+
+    @cached_property
+    def mpo(self) -> list:
+        """TT-matrix cores of shape (r, 2, 2, r'), out index before in index.
+
+        The terms are block-summed as a rank-(number of terms) TT-matrix,
+        then rounded at _MPO_TOL with each core viewed as a TT-vector core
+        whose mode is the 4 (out, in) index pairs.
+        """
+        rank_one = [[(coeff * factors[0]).reshape(1, 4, 1)]
+                    + [f.reshape(1, 4, 1) for f in factors[1:]]
+                    for coeff, factors in self.terms]
+        cores = _round_cores(_block_sum(rank_one), _MPO_TOL)
+        return [c.reshape(c.shape[0], 2, 2, c.shape[2]) for c in cores]
 
 
 def state_index(x) -> int:
@@ -190,20 +218,22 @@ def tt_add(a: TTVector, b: TTVector) -> TTVector:
     """Sum of two TT vectors; ranks add bond-wise."""
     if a.n_sites != b.n_sites:
         raise ValueError("site counts differ")
-    return _tt_sum([a.cores, b.cores])
+    return TTVector(_block_sum([a.cores, b.cores]))
 
 
-def _tt_sum(core_lists) -> TTVector:
-    """Block-diagonal sum of several TT vectors given as core lists."""
+def _block_sum(core_lists) -> list:
+    """Cores of the sum of several tensor trains, block-diagonal in rank.
+
+    Cores have shape (r, m, r'), with the same mode size m at each site.
+    """
     n_sites = len(core_lists[0])
     if n_sites == 1:
-        total = sum(cl[0] for cl in core_lists)
-        return TTVector([total])
+        return [sum(cl[0] for cl in core_lists)]
     cores = [np.concatenate([cl[0] for cl in core_lists], axis=2)]
     for n in range(1, n_sites - 1):
         lefts = [cl[n].shape[0] for cl in core_lists]
         rights = [cl[n].shape[2] for cl in core_lists]
-        block = np.zeros((sum(lefts), 2, sum(rights)))
+        block = np.zeros((sum(lefts), core_lists[0][n].shape[1], sum(rights)))
         lo_l = lo_r = 0
         for cl, rl, rr in zip(core_lists, lefts, rights):
             block[lo_l:lo_l + rl, :, lo_r:lo_r + rr] = cl[n]
@@ -211,7 +241,7 @@ def _tt_sum(core_lists) -> TTVector:
             lo_r += rr
         cores.append(block)
     cores.append(np.concatenate([cl[-1] for cl in core_lists], axis=0))
-    return TTVector(cores)
+    return cores
 
 
 def tt_scale(a: TTVector, c) -> TTVector:
@@ -228,28 +258,35 @@ def tt_round(p: TTVector, tol) -> TTVector:
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    n_sites = p.n_sites
+    return TTVector(_round_cores(p.cores, tol))
+
+
+def _round_cores(cores, tol) -> list:
+    """The tt_round sweep on cores of shape (r, m, r'), any mode size m."""
+    cores = list(cores)
+    n_sites = len(cores)
     if n_sites == 1:
-        return TTVector([p.cores[0].copy()])
-    cores = [c.copy() for c in p.cores]
+        return [cores[0].copy()]
     for n in range(n_sites - 1):
-        r_left, _, r_right = cores[n].shape
-        q, r = np.linalg.qr(cores[n].reshape(r_left * 2, r_right))
-        cores[n] = q.reshape(r_left, 2, q.shape[1])
+        r_left, m, r_right = cores[n].shape
+        q, r = np.linalg.qr(cores[n].reshape(r_left * m, r_right))
+        cores[n] = q.reshape(r_left, m, q.shape[1])
         nxt = cores[n + 1]
-        cores[n + 1] = (r @ nxt.reshape(nxt.shape[0], -1)).reshape(q.shape[1], 2, nxt.shape[2])
+        cores[n + 1] = (r @ nxt.reshape(nxt.shape[0], -1)).reshape(
+            q.shape[1], nxt.shape[1], nxt.shape[2])
     norm = np.linalg.norm(cores[-1])
     delta = tol * norm / np.sqrt(n_sites - 1)
     for n in range(n_sites - 1, 0, -1):
-        r_left, _, r_right = cores[n].shape
-        u, s, vt = np.linalg.svd(cores[n].reshape(r_left, 2 * r_right),
+        r_left, m, r_right = cores[n].shape
+        u, s, vt = np.linalg.svd(cores[n].reshape(r_left, m * r_right),
                                  full_matrices=False)
         r = _chop(s, delta)
-        cores[n] = vt[:r].reshape(r, 2, r_right)
+        cores[n] = vt[:r].reshape(r, m, r_right)
         carry = u[:, :r] * s[:r]
         prev = cores[n - 1]
-        cores[n - 1] = (prev.reshape(-1, r_left) @ carry).reshape(prev.shape[0], 2, r)
-    return TTVector(cores)
+        cores[n - 1] = (prev.reshape(-1, r_left) @ carry).reshape(
+            prev.shape[0], prev.shape[1], r)
+    return cores
 
 
 def tt_inner(a: TTVector, b: TTVector) -> float:
@@ -263,26 +300,21 @@ def tt_inner(a: TTVector, b: TTVector) -> float:
     return float(m[0, 0])
 
 
-def _apply_factor(factor, core) -> np.ndarray:
-    # new[a, i, b] = sum_j factor[i, j] * core[a, j, b]
-    return np.tensordot(factor, core, axes=(1, 1)).transpose(1, 0, 2)
-
-
 def cp_apply(op: CPOperator, p: TTVector) -> TTVector:
     """Matrix-vector product, all in factored form.
 
-    Each Kronecker term acts core-by-core; the term results are summed
-    block-diagonally, so output ranks are (number of terms) * ranks(p) and
-    the caller is expected to round afterwards.
+    Contracts the operator's MPO with p core by core, so output ranks are
+    the MPO bond ranks times ranks(p); the caller is expected to round
+    afterwards.
     """
     if op.n_sites != p.n_sites:
         raise ValueError("operator and vector site counts differ")
-    applied = []
-    for coeff, factors in op.terms:
-        cores = [_apply_factor(f, c) for f, c in zip(factors, p.cores)]
-        cores[0] = cores[0] * coeff
-        applied.append(cores)
-    return _tt_sum(applied)
+    cores = []
+    for m, c in zip(op.mpo, p.cores):
+        # out[(a, b), i, (e, d)] = sum_j m[a, i, j, e] * c[b, j, d]
+        out = np.tensordot(m, c, axes=(2, 1)).transpose(0, 3, 1, 2, 4)
+        cores.append(out.reshape(m.shape[0] * c.shape[0], 2, m.shape[3] * c.shape[2]))
+    return TTVector(cores)
 
 
 def cp_to_dense(op: CPOperator) -> np.ndarray:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from epinfer import (ModelParams, Network, SubstepLimitError,
-                     build_generator_cp, chain_network, dense_propagator,
-                     evolve_tt, transition_prob_dense, transition_prob_ssa,
-                     transition_prob_tt)
+from epinfer import (ModelParams, Network, SolverAccuracyError,
+                     SubstepLimitError, build_generator_cp, chain_network,
+                     dense_propagator, evolve_tt, transition_prob_dense,
+                     transition_prob_ssa, transition_prob_tt)
+from epinfer import forward
 from epinfer.graphs import fiedler_ordering, permute_network
 from epinfer.tt import (tt_element, tt_inner, tt_ones, tt_round, tt_to_dense,
                         unit_state_tt, state_index)
@@ -94,6 +95,14 @@ class TestEvolveTT:
             np.testing.assert_allclose(p_tt[rare], oracle[rare], rtol=1e-4, atol=0)
             n_checked += int(rare.sum())
         assert n_checked >= 10
+
+    def test_mass_deficit_raises(self, params, monkeypatch):
+        # roundings that keep rank 1 drop real probability mass
+        monkeypatch.setattr(forward, "tt_round",
+                            lambda p, tol: tt_round(p, float(p.n_sites)))
+        gen = build_generator_cp(chain_network(4), params)
+        with pytest.raises(SolverAccuracyError, match="mass deficit"):
+            evolve_tt(gen, unit_state_tt([1, 0, 0, 0]), 0.1)
 
     def test_rejects_unnormalized_input(self, params):
         net = chain_network(3)

@@ -9,7 +9,9 @@ from epinfer import (Network, NoReplacementProposer, ObservationSeries,
                      maximize_loglike, mcmc_optimize, mh_ratio,
                      network_distance, resample_uniform, serialize_chain,
                      simulate_epidemic)
+from epinfer import forward
 from epinfer.graphs import all_pairs, network_from_bits
+from epinfer.tt import tt_round
 
 from conftest import random_network
 
@@ -260,6 +262,23 @@ class TestMaximizeLoglike:
         assert chain.aborted
         assert "boom" in chain.error
         assert 1 <= len(chain.samples) <= 51
+
+    def test_tt_mass_deficit_aborts_chain(self, params, monkeypatch):
+        # roundings that keep rank 1 make every tt solve lose mass
+        monkeypatch.setattr(forward, "tt_round",
+                            lambda p, tol: tt_round(p, float(p.n_sites)))
+        obs = obs_from_states([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+
+        def loglike(net):
+            if not net.edges:
+                return 0.0
+            return log_likelihood(net, params, obs, solver="tt").log_like
+
+        chain = maximize_loglike(loglike, Network(3), 20, "norepl",
+                                 np.random.default_rng(15))
+        assert chain.aborted
+        assert chain.error.startswith("SolverAccuracyError: mass deficit")
+        assert len(chain.samples) == 1
 
     def test_programming_error_propagates(self):
         def loglike(net):

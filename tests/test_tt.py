@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epinfer import (CPOperator, TTVector, chain_network, cp_apply, cp_to_dense,
-                     index_state, state_index, tt_add, tt_element, tt_from_dense,
-                     tt_inner, tt_ones, tt_round, tt_scale, tt_to_dense,
-                     unit_state_tt)
+from epinfer import (CPOperator, Network, TTVector, austria_network,
+                     chain_network, cp_apply, cp_to_dense, index_state,
+                     smallworld_network, state_index, tt_add, tt_element,
+                     tt_from_dense, tt_inner, tt_ones, tt_round, tt_scale,
+                     tt_to_dense, unit_state_tt)
 from epinfer import ModelParams, build_generator_cp, build_generator_dense
+from epinfer.graphs import fiedler_ordering, permute_network
+
+from conftest import random_network
 
 
 def random_tt(rng, n_sites, rank):
@@ -276,6 +280,62 @@ class TestCpApply:
         op = CPOperator([(1.0, [np.eye(2)] * 3)])
         with pytest.raises(ValueError):
             cp_apply(op, random_tt(rng, 4, 2))
+
+
+def crossing_nodes(net, bond):
+    """Nodes left and right of the bond before position `bond` that have
+    an edge crossing it."""
+    left, right = set(), set()
+    for i, j in net.edges:  # i < j
+        if i < bond <= j:
+            left.add(i)
+            right.add(j)
+    return len(left), len(right)
+
+
+class TestGeneratorMPO:
+    @pytest.mark.parametrize("net", [
+        Network(1),
+        Network(2),
+        Network(2, [(0, 1)]),
+        # two components and the isolated node 3
+        Network(7, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6)]),
+    ] + [random_network(np.random.default_rng(seed), n, prob)
+         for seed, (n, prob) in enumerate([(3, 0.5), (5, 0.3), (6, 0.6), (7, 0.2),
+                                           (8, 0.4), (8, 0.15)])],
+        ids=lambda net: f"n{net.n_nodes}-e{len(net.edges)}")
+    def test_matvec_matches_dense(self, params, net):
+        rng = np.random.default_rng(net.n_nodes + len(net.edges))
+        gen = build_generator_cp(net, params)
+        p = random_tt(rng, net.n_nodes, 3)
+        expected = cp_to_dense(gen) @ tt_to_dense(p)
+        got = tt_to_dense(cp_apply(gen, p))
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("net", [
+        chain_network(8),
+        austria_network(),
+        smallworld_network(10, 1, 6),
+        Network(7, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6)]),
+    ], ids=["chain8", "austria9", "smallworld10", "isolated7"])
+    def test_bond_ranks_follow_crossing_nodes(self, params, net):
+        # bond rank 2 + 2c: the terms on either side of the bond, and an
+        # infection and an infected-indicator factor per crossing node of
+        # the smaller side
+        pnet = permute_network(net, fiedler_ordering(net))
+        mpo = build_generator_cp(pnet, params).mpo
+        ranks = [core.shape[3] for core in mpo[:-1]]
+        expected = [2 + 2 * min(crossing_nodes(pnet, bond))
+                    for bond in range(1, net.n_nodes)]
+        assert ranks == expected
+
+    def test_output_ranks_are_mpo_times_input(self, params):
+        rng = np.random.default_rng(14)
+        gen = build_generator_cp(austria_network(), params)
+        p = random_tt(rng, 9, 3)
+        out = cp_apply(gen, p)
+        assert out.ranks == tuple(m.shape[0] * r for m, r
+                                  in zip(gen.mpo, p.ranks[:-1])) + (1,)
 
 
 class TestCpToDense:
