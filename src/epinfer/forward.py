@@ -10,9 +10,11 @@
 
 Uniformization writes exp(A*dt) p as a Poisson-weighted power series of
 the shifted stochastic matrix B = I + A/L, where L bounds every total exit
-rate.  dt is split so each substep has L*dt <= 1, the series is truncated
-once its Poisson tail is negligible, and the iterate is re-compressed
-after every operator application.
+rate.  dt is split so each substep has L*dt <= 1, and the series is
+truncated once its Poisson tail is negligible.  Each substep sums its
+series w_0 p + w_1 B p + ... + w_K B^K p by Horner's rule, starting from
+w_K p and K times applying B, adding the next lower term and
+re-compressing: one operator application and one rounding per term.
 """
 
 from __future__ import annotations
@@ -126,12 +128,12 @@ def evolve_tt(gen: CPOperator, p0: TTVector, dt) -> TTVector:
 
     p = p0
     for _ in range(n_sub):
-        acc = tt_scale(p, weights[0])
-        v = p
-        for w in weights[1:]:
-            v = tt_round(cp_apply(shifted, v), tol_app)
-            _assert_finite(v)
-            acc = tt_round(tt_add(acc, tt_scale(v, w)), tol_app)
+        # Horner's rule: sum_k w_k B^k p = w_0 p + B(w_1 p + B(w_2 p + ...)),
+        # one application and one rounding per Poisson term
+        acc = tt_scale(p, weights[-1])
+        for w in weights[-2::-1]:
+            acc = tt_round(tt_add(cp_apply(shifted, acc), tt_scale(p, w)), tol_app)
+            _assert_finite(acc)
         p = acc
     _assert_finite(p)
     deficit = abs(mass - tt_inner(p, tt_ones(p.n_sites)))

@@ -93,9 +93,20 @@ def reaction_rates(x, net: Network, params: ModelParams) -> np.ndarray:
 
 
 def exit_rate_bound(net: Network, params: ModelParams) -> float:
-    """Upper bound on the total exit rate of any state."""
+    """Upper bound on the total exit rate of any state.
+
+    A state with infected set I and susceptible set S leaves at rate
+    gamma*|I| + eps*|S| + beta*cut(S, I), where cut(S, I) counts the edges
+    joining an infected to a susceptible node.  Two bounds follow, and the
+    smaller is returned: node by node, each node flips at most at
+    max(gamma, eps + beta*deg); and since cut(S, I) <= |E|, the total is at
+    most max(gamma, eps)*N + beta*|E|.  The first counts every edge at
+    both ends, and it can be the smaller one only when
+    beta*|E| < (gamma - eps)*N.
+    """
     per_node = np.maximum(params.gamma, params.eps + net.degrees * params.beta)
-    return float(per_node.sum())
+    whole = max(params.gamma, params.eps) * net.n_nodes + params.beta * len(net.edges)
+    return float(min(per_node.sum(), whole))
 
 
 def build_generator_cp(net: Network, params: ModelParams) -> CPOperator:

@@ -185,13 +185,9 @@ def tt_to_dense(p: TTVector) -> np.ndarray:
 
 def _chop(s, delta) -> int:
     """Smallest kept rank so the discarded singular-value tail is <= delta."""
-    if len(s) == 0:
-        return 1
     tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[r] = ||s[r:]||
-    keep = len(s)
-    while keep > 1 and tails[keep - 1] <= delta:
-        keep -= 1
-    return keep
+    # tails never increases, so the entries above delta are a prefix
+    return max(1, int(np.count_nonzero(tails > delta)))
 
 
 def tt_from_dense(v, tol=0.0) -> TTVector:

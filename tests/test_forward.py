@@ -9,7 +9,7 @@ from epinfer import (ModelParams, Network, SolverAccuracyError,
                      dense_propagator, evolve_tt, transition_prob_dense,
                      transition_prob_ssa, transition_prob_tt)
 from epinfer import forward
-from epinfer.graphs import fiedler_ordering, permute_network
+from epinfer.graphs import austria_network, fiedler_ordering, permute_network
 from epinfer.tt import (tt_element, tt_inner, tt_ones, tt_round, tt_to_dense,
                         unit_state_tt, state_index)
 
@@ -95,6 +95,42 @@ class TestEvolveTT:
             np.testing.assert_allclose(p_tt[rare], oracle[rare], rtol=1e-4, atol=0)
             n_checked += int(rare.sum())
         assert n_checked >= 10
+
+    def test_one_rounding_per_application(self, params, monkeypatch):
+        # Horner's rule rounds once per Poisson term, and the edge-counting
+        # exit-rate bound covers an Austria dt=0.05 interval in one substep
+        calls = {"cp_apply": 0, "tt_round": 0}
+
+        def counted(name):
+            original = getattr(forward, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(forward, name, counted(name))
+        net = austria_network()
+        pnet = permute_network(net, fiedler_ordering(net))
+        gen = build_generator_cp(pnet, params)
+        x0 = np.zeros(9, dtype=np.uint8)
+        x0[4] = 1
+        evolve_tt(gen, unit_state_tt(x0), 0.05)
+        one_substep = forward._poisson_weights(gen.exit_rate_bound * 0.05,
+                                               forward._TAIL_ABS)
+        assert calls["cp_apply"] == calls["tt_round"] == len(one_substep) - 1
+
+    @pytest.mark.parametrize("dt", [0.1, 1.0, 5.0])
+    def test_absolute_accuracy_over_substeps(self, params, dt):
+        rng = np.random.default_rng(48)
+        for _ in range(6):
+            net = random_network(rng, 6)
+            x0 = random_state(rng, 6)
+            gen = build_generator_cp(net, params)
+            p_tt = tt_to_dense(evolve_tt(gen, unit_state_tt(x0), dt))
+            oracle = dense_propagator(net, params, dt)[:, state_index(x0)]
+            np.testing.assert_allclose(p_tt, oracle, rtol=0, atol=1e-12)
 
     def test_mass_deficit_raises(self, params, monkeypatch):
         # roundings that keep rank 1 drop real probability mass

@@ -6,6 +6,7 @@ from epinfer import (ModelParams, Network, build_generator_cp,
                      build_generator_dense, chain_network, cp_to_dense,
                      infected_neighbors, reaction_rates, transition_rate)
 from epinfer.generator import exit_rate_bound
+from epinfer.graphs import all_pairs
 
 from conftest import random_network
 
@@ -93,8 +94,35 @@ class TestGeneratorCp:
 
     def test_exit_rate_bound_value(self, params):
         net = chain_network(3)
-        # per node: max(gamma, eps + deg * beta) with degs (1, 2, 1)
-        assert exit_rate_bound(net, params) == pytest.approx(1.01 + 2.01 + 1.01)
+        # max(gamma, eps) * N + beta * |E|, below the per-node sum of
+        # max(gamma, eps + deg * beta) with degs (1, 2, 1), 4.03
+        assert exit_rate_bound(net, params) == pytest.approx(0.5 * 3 + 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from(["random", "isolated", "split", "complete"]),
+           st.sampled_from([(1.0, 0.5, 0.01), (0.01, 2.0, 0.05), (2.0, 0.1, 0.3), None]),
+           st.integers(0, 10_000))
+    def test_exit_rate_bound_is_valid_and_tighter(self, n, shape, rates, seed):
+        rng = np.random.default_rng(seed)
+        if shape == "complete":
+            net = Network(n, all_pairs(n))
+        elif shape == "split":
+            # two components with no edge between them
+            half = n // 2
+            net = Network(n, [(i, j) for i, j in random_network(rng, n).edges
+                              if (i < half) == (j < half)])
+        else:
+            net = random_network(rng, n)
+            if shape == "isolated":
+                net = Network(n, [(i, j) for i, j in net.edges if n - 1 not in (i, j)])
+        if rates is None:
+            rates = tuple(rng.uniform(0.001, 3.0, size=3))
+        params = ModelParams(*rates)
+        bound = exit_rate_bound(net, params)
+        largest = float(np.max(-np.diag(build_generator_dense(net, params))))
+        per_node = np.maximum(params.gamma, params.eps + net.degrees * params.beta).sum()
+        assert largest <= bound * (1 + 1e-12)
+        assert bound <= per_node
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 10_000))
