@@ -77,6 +77,13 @@ def _parse_x0(text, n_nodes) -> np.ndarray:
     return np.array([int(c) for c in text], dtype=np.uint8)
 
 
+def _check_counts(args):
+    """--jobs and --nssa, on every subcommand that takes them, are >= 1."""
+    for flag in ("jobs", "nssa"):
+        if getattr(args, flag, 1) < 1:
+            raise UsageError(f"--{flag} must be >= 1")
+
+
 def _simulate_one(task):
     net, params, x0, tmax, tau, seed, path = task
     rng = np.random.default_rng(seed)
@@ -261,6 +268,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -2,8 +2,6 @@
 
 * evolve_tt: tensor-train integration by uniformization, the primary
   path; likelihood builds every TT transition probability on it.
-* dense_propagator / transition_prob_dense: matrix exponential of the
-  full generator, the small-system oracle.
 * transition_prob_ssa: frequency estimate from exact-event trajectories,
   run by the same Gillespie kernel that generates the synthetic data; the
   Monte Carlo baseline.
@@ -22,20 +20,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .datagen import _jump_events
-from .generator import ModelParams, build_generator_dense
+from .generator import ModelParams
 from .graphs import Network
-from .tt import (CPOperator, TTVector, cp_apply, state_index, tt_add, tt_inner,
-                 tt_ones, tt_round, tt_scale)
+from .tt import (CPOperator, TTVector, cp_apply, tt_add, tt_inner, tt_ones,
+                 tt_round, tt_scale)
 
 __all__ = [
     "SolverAccuracyError",
     "SubstepLimitError",
     "evolve_tt",
-    "transition_prob_dense",
-    "dense_propagator",
     "transition_prob_ssa",
 ]
 
@@ -143,17 +138,16 @@ def evolve_tt(gen: CPOperator, p0: TTVector, dt) -> TTVector:
     return p
 
 
-def dense_propagator(net: Network, params: ModelParams, dt) -> np.ndarray:
-    """exp(A*dt) for the full generator; columns are source states."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    return scipy.linalg.expm(build_generator_dense(net, params) * dt)
-
-
-def transition_prob_dense(net: Network, params: ModelParams, x_a, x_b, dt) -> float:
-    """Oracle transition probability from the dense matrix exponential."""
-    prop = dense_propagator(net, params, dt)
-    return float(prop[state_index(x_b), state_index(x_a)])
+def _check_states(net: Network, *states) -> list:
+    """The states as uint8 arrays; each must be a 0/1 vector of length N."""
+    checked = []
+    for x in states:
+        x = np.asarray(x)
+        if x.shape != (net.n_nodes,) or not np.isin(x, (0, 1)).all():
+            raise ValueError(
+                f"state {x.tolist()} is not a 0/1 vector of length {net.n_nodes}")
+        checked.append(x.astype(np.uint8))
+    return checked
 
 
 def transition_prob_ssa(net: Network, params: ModelParams, x_a, x_b, dt,
@@ -165,8 +159,7 @@ def transition_prob_ssa(net: Network, params: ModelParams, x_a, x_b, dt,
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    x_a = np.asarray(x_a, dtype=np.uint8)
-    x_b = np.asarray(x_b, dtype=np.uint8)
+    x_a, x_b = _check_states(net, x_a, x_b)
     hits = 0
     for _ in range(n_traj):
         x = x_a.copy()

@@ -20,8 +20,6 @@ from .tt import MAX_DENSE_MATRIX_SITES, CPOperator
 
 __all__ = [
     "ModelParams",
-    "infected_neighbors",
-    "transition_rate",
     "reaction_rates",
     "exit_rate_bound",
     "build_generator_cp",
@@ -64,31 +62,14 @@ class ModelParams:
             raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
-def infected_neighbors(x, node, net: Network) -> int:
-    """Number of infected neighbours of a node in state x."""
-    x = np.asarray(x)
-    return int(sum(x[m] for m in net.neighbors(node)))
-
-
-def transition_rate(x, y, net: Network, params: ModelParams) -> float:
-    """Rate of the single-reaction jump x -> y; zero for anything else."""
-    x = np.asarray(x, dtype=int)
-    y = np.asarray(y, dtype=int)
-    if x.shape != y.shape:
-        raise ValueError("states have different lengths")
-    flipped = np.flatnonzero(x != y)
-    if len(flipped) != 1:
-        return 0.0
-    n = int(flipped[0])
-    if x[n] == 1:
-        return params.gamma
-    return params.eps + params.beta * infected_neighbors(x, n, net)
-
-
 def reaction_rates(x, net: Network, params: ModelParams) -> np.ndarray:
-    """Per-node flip rates out of state x (recovery or infection)."""
+    """Per-node flip rates out of state x (recovery or infection).
+
+    x may also be a stack of states, one per row; the result then has one
+    row of rates per state.
+    """
     x = np.asarray(x, dtype=float)
-    n_infected = net.adjacency @ x
+    n_infected = x @ net.adjacency
     return np.where(x == 1.0, params.gamma, params.eps + params.beta * n_infected)
 
 
@@ -136,8 +117,10 @@ def build_generator_cp(net: Network, params: ModelParams) -> CPOperator:
 
 
 def build_generator_dense(net: Network, params: ModelParams) -> np.ndarray:
-    """Dense generator built by direct enumeration of the reaction rates.
+    """Dense generator built by enumerating every state's reaction rates.
 
+    reaction_rates gives node n's flip rate out of each of the 2^N
+    big-endian states k, and that rate is the entry a[k ^ bit_n, k].
     Independent of the Kronecker construction on purpose: it serves as the
     oracle the factored form is checked against.
     """
@@ -145,21 +128,9 @@ def build_generator_dense(net: Network, params: ModelParams) -> np.ndarray:
     if n_sites > MAX_DENSE_MATRIX_SITES:
         raise ValueError(
             f"refusing dense generator for N={n_sites} > {MAX_DENSE_MATRIX_SITES}")
-    dim = 1 << n_sites
-    src = np.arange(dim)
-    bits = [(src >> (n_sites - 1 - n)) & 1 for n in range(n_sites)]
-    a = np.zeros((dim, dim))
-    for n in range(n_sites):
-        weight = 1 << (n_sites - 1 - n)
-        infected = bits[n] == 1
-        a[src[infected] - weight, src[infected]] += params.gamma
-        neighbors = net.neighbors(n)
-        if len(neighbors):
-            n_inf = np.sum([bits[int(m)] for m in neighbors], axis=0)
-        else:
-            n_inf = np.zeros(dim, dtype=int)
-        susceptible = ~infected
-        rates = params.eps + params.beta * n_inf[susceptible]
-        a[src[susceptible] + weight, src[susceptible]] += rates
+    src = np.arange(1 << n_sites)[:, None]
+    bits = 1 << np.arange(n_sites - 1, -1, -1)
+    a = np.zeros((len(src), len(src)))
+    a[src ^ bits, src] = reaction_rates((src & bits) > 0, net, params)
     np.fill_diagonal(a, -a.sum(axis=0))
     return a

@@ -177,6 +177,8 @@ def maximize_loglike(loglike_fn, g0: Network, n_eval, proposal="toggle",
         raise ValueError("n_eval must be >= 1")
     if proposal not in _PROPOSERS:
         raise ValueError(f"unknown proposal {proposal!r}")
+    if g0.n_nodes < 2:
+        raise ValueError("link proposals need at least 2 nodes")
     rng = rng if rng is not None else np.random.default_rng()
     cache = {}
 

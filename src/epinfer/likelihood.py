@@ -5,8 +5,9 @@ property, so each factor is a single transition probability.  Repeated
 (source state, interval length) combinations are solved once: the TT path
 evolves each distinct source a single time and reads off every needed
 target, the dense path computes one matrix exponential per distinct
-interval length.  A single TT transition probability runs the same path
-on one (source, target, interval) triple.
+interval length (dense_propagator, the exact small-system oracle).  A
+single TT or dense transition probability runs the same path on one
+(source, target, interval) triple.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from .datagen import ObservationSeries
-from .forward import SolverAccuracyError, evolve_tt, transition_prob_ssa
+from .forward import (SolverAccuracyError, _check_states, evolve_tt,
+                      transition_prob_ssa)
 from .generator import ModelParams, build_generator_cp, build_generator_dense
 from .graphs import Network, all_pairs, fiedler_ordering, permute_network
 from .tt import tt_element, unit_state_tt
@@ -28,6 +30,8 @@ from .tt import tt_element, unit_state_tt
 __all__ = [
     "PROB_FLOOR",
     "LikelihoodReport",
+    "dense_propagator",
+    "transition_prob_dense",
     "transition_prob_tt",
     "interval_probabilities",
     "log_likelihood",
@@ -123,7 +127,15 @@ def transition_prob_tt(net: Network, params: ModelParams, x_a, x_b, dt) -> float
     """Probability of moving from state x_a to x_b over dt, TT path."""
     if dt <= 0:
         raise ValueError("dt must be positive")
+    x_a, x_b = _check_states(net, x_a, x_b)
     return float(_probs_tt(net, params, [x_a], [x_b], [dt])[0])
+
+
+def dense_propagator(net: Network, params: ModelParams, dt) -> np.ndarray:
+    """exp(A*dt) for the full generator; columns are source states."""
+    if dt < 0:
+        raise ValueError("dt must be nonnegative")
+    return scipy.linalg.expm(build_generator_dense(net, params) * dt)
 
 
 def _probs_dense(net, params, sources, targets, dts):
@@ -131,17 +143,22 @@ def _probs_dense(net, params, sources, targets, dts):
 
     One matrix exponential per distinct interval length.  A propagator
     viewed as a (2,)*2N tensor is indexed by the target bits, then the
-    source bits, in the big-endian state order of the tt module.
+    source bits, in the big-endian state order of the generator.
     """
-    gen = build_generator_dense(net, params)
     sources, targets = np.asarray(sources), np.asarray(targets)
     dts = np.asarray(dts)
     probs = np.empty(len(dts))
     for dt in set(dts.tolist()):
         rows = dts == dt
-        prop = scipy.linalg.expm(gen * dt).reshape((2,) * (2 * net.n_nodes))
+        prop = dense_propagator(net, params, dt).reshape((2,) * (2 * net.n_nodes))
         probs[rows] = prop[(*targets[rows].T, *sources[rows].T)]
     return np.maximum(probs, 0.0)
+
+
+def transition_prob_dense(net: Network, params: ModelParams, x_a, x_b, dt) -> float:
+    """Probability of moving from state x_a to x_b over dt, dense oracle."""
+    x_a, x_b = _check_states(net, x_a, x_b)
+    return float(_probs_dense(net, params, [x_a], [x_b], [dt])[0])
 
 
 def _ssa_chunk(task):

@@ -24,13 +24,9 @@ import numpy as np
 __all__ = [
     "TTVector",
     "CPOperator",
-    "state_index",
-    "index_state",
     "unit_state_tt",
     "tt_ones",
     "tt_element",
-    "tt_to_dense",
-    "tt_from_dense",
     "tt_add",
     "tt_scale",
     "tt_round",
@@ -39,9 +35,8 @@ __all__ = [
     "cp_to_dense",
 ]
 
-# Largest N expanded to a dense 2^N vector, and to a dense 2^N x 2^N
-# matrix (a 2^14-square float64 matrix is 2 GiB).
-MAX_DENSE_VECTOR_SITES = 24
+# Largest N expanded to a dense 2^N x 2^N matrix (a 2^14-square float64
+# matrix is 2 GiB).
 MAX_DENSE_MATRIX_SITES = 14
 # Relative accuracy of the MPO compression, in tt_round's sense.  The
 # block sum of the terms has exact low rank: its extra singular values are
@@ -129,22 +124,6 @@ class CPOperator:
         return [c.reshape(c.shape[0], 2, 2, c.shape[2]) for c in cores]
 
 
-def state_index(x) -> int:
-    """Big-endian linear index of a binary state vector."""
-    idx = 0
-    for b in np.asarray(x).ravel():
-        idx = (idx << 1) | int(b)
-    return idx
-
-
-def index_state(idx, n_sites) -> np.ndarray:
-    """Inverse of state_index."""
-    if not (0 <= idx < 1 << n_sites):
-        raise ValueError(f"index {idx} out of range for {n_sites} sites")
-    return np.array([(idx >> (n_sites - 1 - n)) & 1 for n in range(n_sites)],
-                    dtype=np.uint8)
-
-
 def unit_state_tt(x) -> TTVector:
     """Rank-1 indicator of a single state."""
     cores = []
@@ -171,43 +150,11 @@ def tt_element(p: TTVector, x) -> float:
     return float(v[0])
 
 
-def tt_to_dense(p: TTVector) -> np.ndarray:
-    """Full vector of length 2^N (guarded against large N)."""
-    if p.n_sites > MAX_DENSE_VECTOR_SITES:
-        raise ValueError(
-            f"refusing dense expansion for N={p.n_sites} > {MAX_DENSE_VECTOR_SITES}")
-    out = p.cores[0].reshape(2, -1)
-    for core in p.cores[1:]:
-        out = out @ core.reshape(core.shape[0], -1)
-        out = out.reshape(-1, core.shape[2])
-    return out.ravel()
-
-
 def _chop(s, delta) -> int:
     """Smallest kept rank so the discarded singular-value tail is <= delta."""
     tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[r] = ||s[r:]||
     # tails never increases, so the entries above delta are a prefix
     return max(1, int(np.count_nonzero(tails > delta)))
-
-
-def tt_from_dense(v, tol=0.0) -> TTVector:
-    """Sequential SVD factorization of a dense length-2^N vector."""
-    v = np.asarray(v, dtype=float).ravel()
-    n_sites = int(round(np.log2(len(v))))
-    if len(v) != 1 << n_sites or n_sites < 1:
-        raise ValueError(f"length {len(v)} is not a power of two >= 2")
-    delta = tol * np.linalg.norm(v) / max(np.sqrt(n_sites - 1), 1.0)
-    cores = []
-    c = v.reshape(1, -1)
-    for _ in range(n_sites - 1):
-        r_left = c.shape[0]
-        c = c.reshape(r_left * 2, -1)
-        u, s, vt = np.linalg.svd(c, full_matrices=False)
-        r = _chop(s, delta)
-        cores.append(u[:, :r].reshape(r_left, 2, r))
-        c = s[:r, None] * vt[:r]
-    cores.append(c.reshape(-1, 2, 1))
-    return TTVector(cores)
 
 
 def tt_add(a: TTVector, b: TTVector) -> TTVector:

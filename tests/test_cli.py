@@ -151,6 +151,32 @@ class TestLikelihood:
                     str(tmp_path / "nope.obs")]) == 1
 
 
+class TestCounts:
+    @pytest.mark.parametrize("flag,value", [("--jobs", "0"), ("--jobs", "-3"),
+                                            ("--nssa", "0")])
+    def test_nonpositive_count_is_usage_error(self, tmp_path, chain5_file,
+                                              small_dataset, capsys, flag,
+                                              value):
+        commands = {
+            "simulate": ["simulate", "--network", str(chain5_file), "--tmax",
+                         "1", "--tau", "0.1", "--seed", "1", "--out",
+                         str(tmp_path / "sim")],
+            "likelihood": ["likelihood", "--network", str(chain5_file),
+                           "--obs", str(small_dataset)],
+            "infer": ["infer", "--obs", str(small_dataset), "--neval", "1",
+                      "--seed", "1", "--out", str(tmp_path / "run")],
+            "contrast": ["contrast", "--truth", str(chain5_file), "--obs-dir",
+                         str(small_dataset.parent), "--out",
+                         str(tmp_path / "c.tsv")],
+        }
+        takes = {"--jobs": ("simulate", "likelihood", "contrast"),
+                 "--nssa": ("likelihood", "infer", "contrast")}[flag]
+        for name in takes:
+            assert run(commands[name] + [flag, value]) == 2, name
+            assert f"usage error: {flag} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+
 class TestInfer:
     def test_end_to_end_with_truth(self, tmp_path, chain5_file, small_dataset,
                                    capsys):
@@ -171,6 +197,19 @@ class TestInfer:
         code = run(["infer", "--obs", str(small_dataset), "--neval", "0",
                     "--seed", "5", "--out", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize("proposal", ["toggle", "norepl"])
+    def test_single_node_data_is_runtime_error(self, tmp_path, capsys,
+                                               proposal):
+        obs = tmp_path / "one.obs"
+        obs.write_text("# N=1\n0 0\n0.1 1\n0.2 1\n")
+        code = run(["infer", "--obs", str(obs), "--neval", "5", "--solver",
+                    "dense", "--proposal", proposal, "--seed", "5",
+                    "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: link proposals need at least 2 nodes" in err
+        assert "Traceback" not in err
 
     def test_init_modes(self, tmp_path, chain5_file, small_dataset):
         for init in ("score", "empty", "random", str(chain5_file)):

@@ -10,10 +10,9 @@ from epinfer import (ModelParams, Network, SolverAccuracyError,
                      transition_prob_ssa, transition_prob_tt)
 from epinfer import forward
 from epinfer.graphs import austria_network, fiedler_ordering, permute_network
-from epinfer.tt import (tt_element, tt_inner, tt_ones, tt_round, tt_to_dense,
-                        unit_state_tt, state_index)
+from epinfer.tt import tt_element, tt_inner, tt_ones, tt_round, unit_state_tt
 
-from conftest import random_network, random_state
+from conftest import random_network, random_state, state_index, tt_to_dense
 
 
 def two_state_infection_prob(params, t):
@@ -209,6 +208,13 @@ class TestTransitionProbTT:
         with pytest.raises(ValueError):
             transition_prob_tt(net, params, x, x, 0.0)
 
+    def test_rejects_malformed_states(self, params):
+        net = chain_network(5)
+        with pytest.raises(ValueError, match="0/1 vector of length 5"):
+            transition_prob_tt(net, params, [1, 0, 0, 0, 0, 1], [0] * 5, 0.1)
+        with pytest.raises(ValueError, match="0/1 vector of length 5"):
+            transition_prob_tt(net, params, [1, 0, 0, 0, 0], [0, 0, 2, 0, 0], 0.1)
+
 
 class TestTransitionProbDense:
     def test_zero_time(self, params):
@@ -231,6 +237,24 @@ class TestTransitionProbDense:
     def test_memory_guard(self, params):
         with pytest.raises(ValueError, match="refusing"):
             transition_prob_dense(Network(15), params, [0] * 15, [0] * 15, 0.1)
+
+    def test_rejects_malformed_states(self, params):
+        net = chain_network(5)
+        with pytest.raises(ValueError, match="0/1 vector of length 5"):
+            transition_prob_dense(net, params, [1, 0, 0, 0], [0, 0, 0, 0], 0.1)
+        with pytest.raises(ValueError, match="0/1 vector of length 5"):
+            transition_prob_dense(net, params, [0, 0, 0, 0, 2], [0] * 5, 0.1)
+
+    def test_big_endian_state_order(self, params):
+        # node 0 is the most significant bit of a dense index: from column
+        # 0b100 only node 1 has an infected neighbour
+        net = Network(3, [(0, 1)])
+        prop = dense_propagator(net, params, 0.1)
+        contact = transition_prob_dense(net, params, [1, 0, 0], [1, 1, 0], 0.1)
+        spontaneous = transition_prob_dense(net, params, [1, 0, 0], [1, 0, 1], 0.1)
+        assert prop[0b110, 0b100] == contact
+        assert prop[0b101, 0b100] == spontaneous
+        assert contact > 10 * spontaneous
 
 
 class TestTransitionProbSSA:
@@ -276,6 +300,13 @@ class TestTransitionProbSSA:
         ]
         se = math.sqrt(p_true * (1 - p_true) / (n_traj * 30))
         assert abs(np.mean(estimates) - p_true) <= 3 * se
+
+    def test_rejects_malformed_states(self, params):
+        net = chain_network(5)
+        rng = np.random.default_rng(56)
+        with pytest.raises(ValueError, match="0/1 vector of length 5"):
+            transition_prob_ssa(net, params, [1, 0, 0, 0, 0], [0, 0, 0, 0],
+                                0.1, 10, rng)
 
     def test_deterministic_given_seed(self, params):
         net = chain_network(4)

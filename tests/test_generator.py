@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from epinfer import (ModelParams, Network, build_generator_cp,
                      build_generator_dense, chain_network, cp_to_dense,
-                     infected_neighbors, reaction_rates, transition_rate)
+                     reaction_rates)
 from epinfer.generator import exit_rate_bound
 from epinfer.graphs import all_pairs
 
-from conftest import random_network
+from conftest import (index_state, infected_neighbors, random_network,
+                      transition_rate)
 
 
 class TestModelParams:
@@ -79,6 +80,15 @@ class TestReactionRates:
                 y = x.copy()
                 y[n] ^= 1
                 assert rates[n] == pytest.approx(transition_rate(x, y, net, params))
+
+    def test_stacked_states_match_single_calls(self, params):
+        rng = np.random.default_rng(19)
+        net = random_network(rng, 6)
+        states = rng.integers(0, 2, size=(40, 6)).astype(np.uint8)
+        stacked = reaction_rates(states, net, params)
+        assert stacked.shape == states.shape
+        for x, row in zip(states, stacked):
+            assert row.tobytes() == reaction_rates(x, net, params).tobytes()
 
 
 class TestGeneratorCp:
@@ -155,17 +165,24 @@ class TestGeneratorDense:
         assert gen[1, 0] == pytest.approx(params.eps)
 
     def test_matches_scalar_rates(self, params):
+        # every off-diagonal entry, on a random graph, one whose last node
+        # is isolated and one of two components, N = 1..5
         rng = np.random.default_rng(23)
-        net = random_network(rng, 4)
-        gen = build_generator_dense(net, params)
-        from epinfer import index_state, state_index
-        for _ in range(30):
-            x = rng.integers(0, 2, size=4).astype(np.uint8)
-            y = rng.integers(0, 2, size=4).astype(np.uint8)
-            if np.array_equal(x, y):
-                continue
-            assert gen[state_index(y), state_index(x)] == pytest.approx(
-                transition_rate(x, y, net, params))
+        nets = []
+        for n in range(1, 6):
+            half = n // 2
+            nets += [random_network(rng, n, 0.7),
+                     Network(n, all_pairs(n - 1)),
+                     Network(n, [(i, j) for i, j in all_pairs(n)
+                                 if (i < half) == (j < half)])]
+        for net in nets:
+            n = net.n_nodes
+            gen = build_generator_dense(net, params)
+            for k in range(1 << n):
+                for j in range(1 << n):
+                    if j != k:
+                        assert gen[j, k] == transition_rate(
+                            index_state(k, n), index_state(j, n), net, params)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 10_000))

@@ -298,6 +298,15 @@ class TestMaximizeLoglike:
             maximize_loglike(lambda net: 0.0, Network(3), 5, "sideways",
                              np.random.default_rng(0))
 
+    @pytest.mark.parametrize("proposal", ["toggle", "norepl"])
+    def test_single_node_rejected_before_evaluation(self, proposal):
+        def loglike(net):
+            raise AssertionError("evaluated")
+
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            maximize_loglike(loglike, Network(1), 5, proposal,
+                             np.random.default_rng(0))
+
 
 class TestMcmcOptimize:
     def test_recovers_exhaustive_argmax(self, params):

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epinfer import (CPOperator, Network, TTVector, austria_network,
-                     chain_network, cp_apply, cp_to_dense, index_state,
-                     smallworld_network, state_index, tt_add, tt_element,
-                     tt_from_dense, tt_inner, tt_ones, tt_round, tt_scale,
-                     tt_to_dense, unit_state_tt)
+                     chain_network, cp_apply, cp_to_dense, smallworld_network,
+                     tt_add, tt_element, tt_inner, tt_ones, tt_round, tt_scale,
+                     unit_state_tt)
 from epinfer import ModelParams, build_generator_cp, build_generator_dense
 from epinfer.graphs import fiedler_ordering, permute_network
 
-from conftest import random_network
+from conftest import (index_state, random_network, state_index, tt_from_dense,
+                      tt_to_dense)
 
 
 def random_tt(rng, n_sites, rank):
