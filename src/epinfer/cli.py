@@ -95,8 +95,8 @@ def _simulate_one(task):
 def cmd_simulate(args) -> int:
     net = _load_network(args)
     params = _params(args)
-    if args.tmax <= 0 or args.tau <= 0:
-        raise UsageError("--tmax and --tau must be positive")
+    if not (0 < args.tmax < math.inf and 0 < args.tau < math.inf):
+        raise UsageError("--tmax and --tau must be finite and positive")
     if args.ndatasets < 1:
         raise UsageError("--ndatasets must be >= 1")
     if args.x0 is not None:

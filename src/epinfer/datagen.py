@@ -52,6 +52,8 @@ class ObservationSeries:
         self.states = np.asarray(self.states, dtype=np.uint8)
         if self.states.ndim != 2 or len(self.times) != len(self.states):
             raise ValueError("times and states disagree")
+        if not np.isfinite(self.times).all():
+            raise ValueError("times must be finite")
         if len(self.times) >= 2 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
         if not np.isin(self.states, (0, 1)).all():
@@ -64,6 +66,18 @@ class ObservationSeries:
     @property
     def n_intervals(self) -> int:
         return len(self.times) - 1
+
+
+def _check_states(net: Network, *states) -> list:
+    """The states as uint8 arrays; each must be a 0/1 vector of length N."""
+    checked = []
+    for x in states:
+        x = np.asarray(x)
+        if x.shape != (net.n_nodes,) or not np.isin(x, (0, 1)).all():
+            raise ValueError(
+                f"state {x.tolist()} is not a 0/1 vector of length {net.n_nodes}")
+        checked.append(x.astype(np.uint8))
+    return checked
 
 
 def _jump_events(net: Network, params: ModelParams, x, t_max, rng):
@@ -90,18 +104,17 @@ def _jump_events(net: Network, params: ModelParams, x, t_max, rng):
 def simulate_epidemic(net: Network, params: ModelParams, x0, t_max,
                       rng) -> EventTrajectory:
     """Exact-event simulation of the epidemic jump process up to t_max."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    x = np.array(x0, dtype=np.uint8)
-    if len(x) != net.n_nodes:
-        raise ValueError("initial state length does not match the network")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
+    x0 = _check_states(net, x0)[0]
+    x = x0.copy()
     times, nodes, values = [], [], []
     for t, node in _jump_events(net, params, x, t_max, rng):
         times.append(t)
         nodes.append(node)
         values.append(int(x[node]))
     return EventTrajectory(
-        initial_state=np.array(x0, dtype=np.uint8),
+        initial_state=x0,
         times=np.array(times),
         nodes=np.array(nodes, dtype=int),
         values=np.array(values, dtype=np.uint8),
@@ -115,8 +128,10 @@ def resample_uniform(traj: EventTrajectory, tau, t_max) -> ObservationSeries:
     Sampling is right-continuous: a record at exactly an event time shows
     the post-event state.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     n_intervals = int(math.floor(t_max / tau + 1e-9))
     times = np.arange(n_intervals + 1) * tau
     states = np.empty((n_intervals + 1, len(traj.initial_state)), dtype=np.uint8)

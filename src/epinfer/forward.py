@@ -8,11 +8,11 @@
 
 Uniformization writes exp(A*dt) p as a Poisson-weighted power series of
 the shifted stochastic matrix B = I + A/L, where L bounds every total exit
-rate.  dt is split so each substep has L*dt <= 1, and the series is
-truncated once its Poisson tail is negligible.  Each substep sums its
-series w_0 p + w_1 B p + ... + w_K B^K p by Horner's rule, starting from
-w_K p and K times applying B, adding the next lower term and
-re-compressing: one operator application and one rounding per term.
+rate; B and its MPO are built once per generator (CPOperator.uniformized).
+dt is split so each substep has L*dt <= 1, and the series is truncated once
+its Poisson tail is negligible.  Each substep sums w_0 p + w_1 B p + ... +
+w_K B^K p by Horner's rule: from w_K p, it K times applies B, adds the next
+lower term and re-compresses, one application and one rounding per term.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .datagen import _jump_events
+from .datagen import _check_states, _jump_events
 from .generator import ModelParams
 from .graphs import Network
 from .tt import (CPOperator, TTVector, cp_apply, tt_add, tt_inner, tt_ones,
@@ -95,12 +95,11 @@ def evolve_tt(gen: CPOperator, p0: TTVector, dt) -> TTVector:
     the accumulated truncation error.  A deficit above _MASS_TOL raises
     SolverAccuracyError.
     """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+    if not 0 <= dt < math.inf:
+        raise ValueError(f"dt must be finite and nonnegative, got {dt}")
     if gen.n_sites != p0.n_sites:
         raise ValueError("generator and state site counts differ")
-    if gen.exit_rate_bound is None:
-        raise ValueError("generator carries no exit-rate bound")
+    shifted = gen.uniformized  # raises when gen has no exit-rate bound
     mass = tt_inner(p0, tt_ones(p0.n_sites))
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"initial state mass {mass} is not 1")
@@ -116,10 +115,6 @@ def evolve_tt(gen: CPOperator, p0: TTVector, dt) -> TTVector:
     weights = _poisson_weights(lam, _TAIL_ABS / n_sub)
     n_apply = max((len(weights) - 1) * n_sub, 1)
     tol_app = _ABS_ACC / n_apply
-
-    identity = [np.eye(2)] * gen.n_sites
-    shifted = CPOperator(
-        [(1.0, identity)] + [(c / lam_total, f) for c, f in gen.terms])
 
     p = p0
     for _ in range(n_sub):
@@ -138,18 +133,6 @@ def evolve_tt(gen: CPOperator, p0: TTVector, dt) -> TTVector:
     return p
 
 
-def _check_states(net: Network, *states) -> list:
-    """The states as uint8 arrays; each must be a 0/1 vector of length N."""
-    checked = []
-    for x in states:
-        x = np.asarray(x)
-        if x.shape != (net.n_nodes,) or not np.isin(x, (0, 1)).all():
-            raise ValueError(
-                f"state {x.tolist()} is not a 0/1 vector of length {net.n_nodes}")
-        checked.append(x.astype(np.uint8))
-    return checked
-
-
 def transition_prob_ssa(net: Network, params: ModelParams, x_a, x_b, dt,
                         n_traj, rng) -> float:
     """Frequency of trajectories from x_a that end in x_b after dt.
@@ -159,6 +142,8 @@ def transition_prob_ssa(net: Network, params: ModelParams, x_a, x_b, dt,
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if not 0 <= dt < math.inf:
+        raise ValueError(f"dt must be finite and nonnegative, got {dt}")
     x_a, x_b = _check_states(net, x_a, x_b)
     hits = 0
     for _ in range(n_traj):

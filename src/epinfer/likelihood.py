@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .datagen import ObservationSeries
-from .forward import (SolverAccuracyError, _check_states, evolve_tt,
-                      transition_prob_ssa)
+from .datagen import ObservationSeries, _check_states
+from .forward import SolverAccuracyError, evolve_tt, transition_prob_ssa
 from .generator import ModelParams, build_generator_cp, build_generator_dense
 from .graphs import Network, all_pairs, fiedler_ordering, permute_network
 from .tt import tt_element, unit_state_tt
@@ -125,16 +124,16 @@ def _probs_tt(net, params, sources, targets, dts):
 
 def transition_prob_tt(net: Network, params: ModelParams, x_a, x_b, dt) -> float:
     """Probability of moving from state x_a to x_b over dt, TT path."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     x_a, x_b = _check_states(net, x_a, x_b)
     return float(_probs_tt(net, params, [x_a], [x_b], [dt])[0])
 
 
 def dense_propagator(net: Network, params: ModelParams, dt) -> np.ndarray:
     """exp(A*dt) for the full generator; columns are source states."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
+    if not 0 <= dt < math.inf:
+        raise ValueError(f"dt must be finite and nonnegative, got {dt}")
     return scipy.linalg.expm(build_generator_dense(net, params) * dt)
 
 
@@ -224,10 +223,7 @@ def log_likelihood(net: Network, params: ModelParams, obs: ObservationSeries,
     else:
         n_floored = int(np.count_nonzero(probs < PROB_FLOOR))
         per_interval = np.log10(np.maximum(probs, PROB_FLOOR))
-    if np.isneginf(per_interval).any():
-        log_like = -math.inf
-    else:
-        log_like = math.log(10.0) * float(np.sum(per_interval))
+    log_like = math.log(10.0) * float(np.sum(per_interval))
     return LikelihoodReport(log_like=log_like, per_interval=per_interval,
                             n_floored=n_floored, solver_used=solver)
 

@@ -87,8 +87,8 @@ class CPOperator:
     Each term is a (coefficient, [N 2x2 factors]) pair.  exit_rate_bound,
     when set by the generator builder, is an upper bound on the largest
     total exit rate of any state and drives uniformization step control.
-    Treated as immutable after construction: the MPO form is derived from
-    the terms on first use and kept.
+    Treated as immutable after construction: the MPO form and the
+    uniformized operator are derived from the terms on first use and kept.
     """
 
     terms: list
@@ -122,6 +122,14 @@ class CPOperator:
                     for coeff, factors in self.terms]
         cores = _round_cores(_block_sum(rank_one), _MPO_TOL)
         return [c.reshape(c.shape[0], 2, 2, c.shape[2]) for c in cores]
+
+    @cached_property
+    def uniformized(self) -> CPOperator:
+        """I + A/L with L = exit_rate_bound: the identity term, then A's terms / L."""
+        if self.exit_rate_bound is None:
+            raise ValueError("generator carries no exit-rate bound")
+        scaled = [(c / self.exit_rate_bound, f) for c, f in self.terms]
+        return CPOperator([(1.0, [np.eye(2)] * self.n_sites)] + scaled)
 
 
 def unit_state_tt(x) -> TTVector:

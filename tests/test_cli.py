@@ -87,6 +87,16 @@ class TestSimulate:
                     "--tau", "0.5", "--seed", "2", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--tmax", "--tau"])
+    def test_nan_time_is_usage_error(self, tmp_path, chain5_file, capsys,
+                                     flag):
+        argv = ["simulate", "--network", str(chain5_file), "--tmax", "5",
+                "--tau", "0.1", "--seed", "1", "--out", str(tmp_path / "x")]
+        argv[argv.index(flag) + 1] = "nan"
+        assert run(argv) == 2
+        assert "--tmax and --tau must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_custom_x0(self, tmp_path, chain5_file):
         out = tmp_path / "sim"
         code = run(["simulate", "--network", str(chain5_file), "--tmax", "1",

@@ -31,6 +31,18 @@ class TestSimulateEpidemic:
         assert traj.times[-1] == 49.110857331208045
         assert final.tolist() == [0, 1, 1, 0, 1]
 
+    @pytest.mark.parametrize("t_max", [np.nan, np.inf])
+    def test_rejects_non_finite_horizon(self, params, t_max):
+        # a NaN or infinite horizon never ends the Gillespie loop
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            simulate_epidemic(chain_network(3), params, [1, 0, 0], t_max,
+                              np.random.default_rng(1))
+
+    def test_rejects_non_binary_initial_state(self, params):
+        with pytest.raises(ValueError, match="0/1 vector of length 3"):
+            simulate_epidemic(chain_network(3), params, [2, 0, 0], 1.0,
+                              np.random.default_rng(1))
+
     def test_short_horizon_no_events(self, params):
         net = chain_network(3)
         traj = simulate_epidemic(net, params, [1, 0, 0], 1e-9,
@@ -139,12 +151,26 @@ class TestResampleUniform:
         with pytest.raises(ValueError):
             resample_uniform(traj, 0.0, 1.0)
 
+    @pytest.mark.parametrize("tau,t_max", [(np.nan, 1.0), (np.inf, 1.0),
+                                           (0.1, np.nan)])
+    def test_rejects_non_finite_grid(self, tau, t_max):
+        traj = EventTrajectory(np.array([0], dtype=np.uint8), np.array([]),
+                               np.array([], dtype=int),
+                               np.array([], dtype=np.uint8), 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            resample_uniform(traj, tau, t_max)
+
 
 class TestObservationSeries:
     def test_rejects_non_monotone_times(self):
         with pytest.raises(ValueError, match="increasing"):
             ObservationSeries(np.array([0.0, 0.0]),
                               np.zeros((2, 3), dtype=np.uint8))
+
+    @pytest.mark.parametrize("times", [[0.0, np.inf], [-np.inf, 0.0]])
+    def test_rejects_non_finite_times(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSeries(np.array(times), np.zeros((2, 3), dtype=np.uint8))
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError, match="binary"):

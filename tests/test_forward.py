@@ -10,7 +10,8 @@ from epinfer import (ModelParams, Network, SolverAccuracyError,
                      transition_prob_ssa, transition_prob_tt)
 from epinfer import forward
 from epinfer.graphs import austria_network, fiedler_ordering, permute_network
-from epinfer.tt import tt_element, tt_inner, tt_ones, tt_round, unit_state_tt
+from epinfer.tt import (CPOperator, tt_element, tt_inner, tt_ones, tt_round,
+                        unit_state_tt)
 
 from conftest import random_network, random_state, state_index, tt_to_dense
 
@@ -139,6 +140,33 @@ class TestEvolveTT:
         with pytest.raises(SolverAccuracyError, match="mass deficit"):
             evolve_tt(gen, unit_state_tt([1, 0, 0, 0]), 0.1)
 
+    def test_uniformized_operator_built_once_per_generator(self, params,
+                                                            monkeypatch):
+        gen = build_generator_cp(chain_network(4), params)
+        built = []
+        original = CPOperator.__post_init__
+
+        def counted(op):
+            built.append(op)
+            original(op)
+
+        monkeypatch.setattr(CPOperator, "__post_init__", counted)
+        p0 = unit_state_tt([1, 0, 0, 0])
+        evolve_tt(gen, p0, 0.1)
+        evolve_tt(gen, p0, 0.2)
+        assert len(built) == 1
+
+    def test_rejects_generator_without_exit_rate_bound(self, params):
+        unbounded = CPOperator(build_generator_cp(chain_network(3), params).terms)
+        with pytest.raises(ValueError, match="no exit-rate bound"):
+            evolve_tt(unbounded, unit_state_tt([1, 0, 0]), 0.1)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, params, dt):
+        gen = build_generator_cp(chain_network(3), params)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            evolve_tt(gen, unit_state_tt([1, 0, 0]), dt)
+
     def test_rejects_unnormalized_input(self, params):
         net = chain_network(3)
         gen = build_generator_cp(net, params)
@@ -208,6 +236,12 @@ class TestTransitionProbTT:
         with pytest.raises(ValueError):
             transition_prob_tt(net, params, x, x, 0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, params, dt):
+        x = [1, 0, 0]
+        with pytest.raises(ValueError, match="dt must be finite"):
+            transition_prob_tt(chain_network(3), params, x, x, dt)
+
     def test_rejects_malformed_states(self, params):
         net = chain_network(5)
         with pytest.raises(ValueError, match="0/1 vector of length 5"):
@@ -233,6 +267,17 @@ class TestTransitionProbDense:
         net = random_network(rng, 5)
         prop = dense_propagator(net, params, 0.4)
         np.testing.assert_allclose(prop.sum(axis=0), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, params, dt):
+        x = [1, 0, 0]
+        with pytest.raises(ValueError, match="dt must be finite"):
+            transition_prob_dense(chain_network(3), params, x, x, dt)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_propagator_rejects_non_finite_dt(self, params, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            dense_propagator(chain_network(3), params, dt)
 
     def test_memory_guard(self, params):
         with pytest.raises(ValueError, match="refusing"):
@@ -307,6 +352,14 @@ class TestTransitionProbSSA:
         with pytest.raises(ValueError, match="0/1 vector of length 5"):
             transition_prob_ssa(net, params, [1, 0, 0, 0, 0], [0, 0, 0, 0],
                                 0.1, 10, rng)
+
+    @pytest.mark.parametrize("dt", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_dt(self, params, dt):
+        # a NaN or infinite horizon never ends the Gillespie loop
+        x = [1, 0, 0]
+        with pytest.raises(ValueError, match="dt must be finite"):
+            transition_prob_ssa(chain_network(3), params, x, x, dt, 10,
+                                np.random.default_rng(57))
 
     def test_deterministic_given_seed(self, params):
         net = chain_network(4)

@@ -338,6 +338,41 @@ class TestGeneratorMPO:
                                   in zip(gen.mpo, p.ranks[:-1])) + (1,)
 
 
+UNIFORMIZED_NETS = [
+    Network(1),
+    Network(4, [(0, 1), (1, 2)]),  # node 3 is isolated
+    Network(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+    austria_network(),
+]
+UNIFORMIZED_IDS = ["n1", "isolated4", "components6", "austria9"]
+
+
+class TestUniformized:
+    @pytest.mark.parametrize("net", UNIFORMIZED_NETS, ids=UNIFORMIZED_IDS)
+    def test_is_identity_plus_scaled_generator(self, params, net):
+        gen = build_generator_cp(net, params)
+        expected = (np.eye(1 << net.n_nodes)
+                    + build_generator_dense(net, params) / gen.exit_rate_bound)
+        np.testing.assert_allclose(cp_to_dense(gen.uniformized), expected,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("net", UNIFORMIZED_NETS, ids=UNIFORMIZED_IDS)
+    def test_mpo_ranks_equal_generator(self, params, net):
+        # the identity term adds no rank: 2 + 2c, as for the generator
+        if net.n_nodes >= 2:
+            net = permute_network(net, fiedler_ordering(net))
+        gen = build_generator_cp(net, params)
+        expected = [2 + 2 * min(crossing_nodes(net, bond))
+                    for bond in range(1, net.n_nodes)]
+        assert [core.shape[3] for core in gen.mpo[:-1]] == expected
+        assert [core.shape[3] for core in gen.uniformized.mpo[:-1]] == expected
+
+    def test_needs_exit_rate_bound(self, params):
+        gen = build_generator_cp(chain_network(3), params)
+        with pytest.raises(ValueError, match="no exit-rate bound"):
+            CPOperator(gen.terms).uniformized
+
+
 class TestCpToDense:
     def test_single_kron_term(self):
         f0 = np.array([[1.0, 2.0], [3.0, 4.0]])
