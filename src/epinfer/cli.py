@@ -119,7 +119,7 @@ def cmd_likelihood(args) -> int:
     obs = parse_observations(Path(args.obs).read_text())
     params = _params(args)
     report = log_likelihood(net, params, obs, solver=args.solver,
-                            n_ssa=args.nssa, ssa_seed=args.seed, jobs=args.jobs)
+                            n_ssa=args.nssa, ssa_seed=args.seed)
     print(f"log10_likelihood\t{report.log10_like:.10g}")
     print(f"n_floored\t{report.n_floored}")
     if args.hist:
@@ -198,7 +198,7 @@ def _add_rates(p):
 def _add_solver(p):
     p.add_argument("--solver", choices=("tt", "dense", "ssa"), default="tt")
     p.add_argument("--nssa", type=int, default=1000,
-                   help="trajectories per interval for the ssa solver")
+                   help="ssa trajectories per distinct (source, interval)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver(p)
     p.add_argument("--seed", type=int, default=0, help="seed for the ssa solver")
     p.add_argument("--hist", help="write per-interval log10 probabilities here")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_likelihood)
 
     p = sub.add_parser("infer", help="recover the network from data by MCMC")

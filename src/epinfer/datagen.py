@@ -123,15 +123,16 @@ def simulate_epidemic(net: Network, params: ModelParams, x0, t_max,
 
 
 def resample_uniform(traj: EventTrajectory, tau, t_max) -> ObservationSeries:
-    """States on the grid k*tau, k = 0..floor(t_max/tau).
+    """States on the grid k*tau, k = 0..floor(t_max/tau), t_max <= traj.t_max.
 
     Sampling is right-continuous: a record at exactly an event time shows
     the post-event state.
     """
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be finite and positive, got {tau}")
-    if not math.isfinite(t_max):
-        raise ValueError(f"t_max must be finite, got {t_max}")
+    if not (math.isfinite(t_max) and 0 <= t_max <= traj.t_max):
+        raise ValueError(f"t_max must be finite and in [0, {traj.t_max}], the "
+                         f"trajectory's horizon, got {t_max}")
     n_intervals = int(math.floor(t_max / tau + 1e-9))
     times = np.arange(n_intervals + 1) * tau
     states = np.empty((n_intervals + 1, len(traj.initial_state)), dtype=np.uint8)

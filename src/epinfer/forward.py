@@ -133,6 +133,16 @@ def evolve_tt(gen: CPOperator, p0: TTVector, dt) -> TTVector:
     return p
 
 
+def _ssa_endpoints(net, params, x_a, dt, n_traj, rng) -> np.ndarray:
+    """End states (n_traj x N) of n_traj Gillespie trajectories from x_a over dt."""
+    ends = np.empty((n_traj, net.n_nodes), dtype=np.uint8)
+    for x in ends:
+        x[:] = x_a
+        for _ in _jump_events(net, params, x, dt, rng):
+            pass
+    return ends
+
+
 def transition_prob_ssa(net: Network, params: ModelParams, x_a, x_b, dt,
                         n_traj, rng) -> float:
     """Frequency of trajectories from x_a that end in x_b after dt.
@@ -145,11 +155,5 @@ def transition_prob_ssa(net: Network, params: ModelParams, x_a, x_b, dt,
     if not 0 <= dt < math.inf:
         raise ValueError(f"dt must be finite and nonnegative, got {dt}")
     x_a, x_b = _check_states(net, x_a, x_b)
-    hits = 0
-    for _ in range(n_traj):
-        x = x_a.copy()
-        for _ in _jump_events(net, params, x, dt, rng):
-            pass
-        if np.array_equal(x, x_b):
-            hits += 1
-    return hits / n_traj
+    ends = _ssa_endpoints(net, params, x_a, dt, n_traj, rng)
+    return np.count_nonzero((ends == x_b).all(axis=1)) / n_traj

@@ -3,11 +3,11 @@
 The likelihood factorizes over observation intervals by the Markov
 property, so each factor is a single transition probability.  Repeated
 (source state, interval length) combinations are solved once: the TT path
-evolves each distinct source a single time and reads off every needed
-target, the dense path computes one matrix exponential per distinct
-interval length (dense_propagator, the exact small-system oracle).  A
-single TT or dense transition probability runs the same path on one
-(source, target, interval) triple.
+evolves, and the ssa path samples, each distinct source a single time and
+reads off every needed target; the dense path computes one matrix
+exponential per distinct interval length (dense_propagator, the exact
+small-system oracle).  A single TT or dense transition probability runs
+the same path on one (source, target, interval) triple.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .datagen import ObservationSeries, _check_states
-from .forward import SolverAccuracyError, evolve_tt, transition_prob_ssa
+from .forward import SolverAccuracyError, _ssa_endpoints, evolve_tt
 from .generator import ModelParams, build_generator_cp, build_generator_dense
 from .graphs import Network, all_pairs, fiedler_ordering, permute_network
 from .tt import tt_element, unit_state_tt
@@ -94,6 +94,14 @@ def _map_jobs(fn, tasks, jobs):
     return [fn(task) for task in tasks]
 
 
+def _groups(sources, dts) -> dict:
+    """Interval indices of each distinct (source bytes, dt), in first-seen order."""
+    groups = {}
+    for k, dt in enumerate(dts):
+        groups.setdefault((sources[k].tobytes(), dt), []).append(k)
+    return groups
+
+
 def _probs_tt(net, params, sources, targets, dts):
     """TT probability of each (sources[k] -> targets[k] over dts[k]).
 
@@ -105,12 +113,8 @@ def _probs_tt(net, params, sources, targets, dts):
     gen = build_generator_cp(pnet, params)
     sources = np.asarray(sources, dtype=np.uint8)[:, order]
     targets = np.asarray(targets, dtype=np.uint8)[:, order]
-    groups = {}
-    for k, dt in enumerate(dts):
-        key = (sources[k].tobytes(), dt)
-        groups.setdefault(key, []).append(k)
     probs = np.empty(len(dts))
-    for (src_bytes, dt), members in groups.items():
+    for (src_bytes, dt), members in _groups(sources, dts).items():
         src = np.frombuffer(src_bytes, dtype=np.uint8)
         evolved = evolve_tt(gen, unit_state_tt(src), dt)
         for k in members:
@@ -160,38 +164,31 @@ def transition_prob_dense(net: Network, params: ModelParams, x_a, x_b, dt) -> fl
     return float(_probs_dense(net, params, [x_a], [x_b], [dt])[0])
 
 
-def _ssa_chunk(task):
-    net, params, rows_a, rows_b, dts, n_ssa, seed, indices = task
-    out = np.empty(len(indices))
-    for pos, k in enumerate(indices):
-        # one independent stream per interval, so results do not depend on
-        # evaluation order or parallel chunking
-        rng = np.random.default_rng([seed, k])
-        out[pos] = transition_prob_ssa(
-            net, params, rows_a[pos], rows_b[pos], dts[pos], n_ssa, rng)
-    return out
+def _probs_ssa(net, params, sources, targets, dts, n_ssa, seed):
+    """ssa frequency of each (sources[k] -> targets[k] over dts[k]).
 
-
-def _probs_ssa(net, params, sources, targets, dts, n_ssa, seed, jobs):
+    n_ssa trajectories per distinct (source, dt), shared by every interval
+    of that group.  Group g draws from the stream [seed, g], so results do
+    not depend on how the groups are evaluated.
+    """
     if seed is None:
         raise ValueError("ssa solver needs a seed")
-    indices = np.arange(len(dts))
-    chunks = np.array_split(indices, max(1, min(jobs, len(dts))))
-    tasks = [(net, params, sources[chunk], targets[chunk],
-              [dts[k] for k in chunk], n_ssa, seed, chunk.tolist())
-             for chunk in chunks if len(chunk)]
-    return np.concatenate(_map_jobs(_ssa_chunk, tasks, jobs))
+    if n_ssa < 1:
+        raise ValueError(f"n_ssa must be >= 1, got {n_ssa}")
+    probs = np.empty(len(dts))
+    for g, ((src_bytes, dt), members) in enumerate(_groups(sources, dts).items()):
+        src = np.frombuffer(src_bytes, dtype=np.uint8)
+        ends = _ssa_endpoints(net, params, src, dt, n_ssa,
+                              np.random.default_rng([seed, g]))
+        for k in members:
+            probs[k] = np.count_nonzero((ends == targets[k]).all(axis=1)) / n_ssa
+    return probs
 
 
 def interval_probabilities(net: Network, params: ModelParams,
                            obs: ObservationSeries, solver="tt", n_ssa=1000,
-                           ssa_seed=None, jobs=1) -> np.ndarray:
-    """Raw transition probability of every observation interval.
-
-    jobs > 1 spreads the ssa intervals over worker processes; the tt and
-    dense paths already share one solve across equal intervals, so they
-    run sequentially regardless.
-    """
+                           ssa_seed=None) -> np.ndarray:
+    """Raw transition probability of every observation interval."""
     if solver not in _SOLVERS:
         raise ValueError(f"unknown solver {solver!r}, expected one of {_SOLVERS}")
     if net.n_nodes != obs.n_nodes:
@@ -201,20 +198,18 @@ def interval_probabilities(net: Network, params: ModelParams,
         return _probs_tt(net, params, sources, targets, dts)
     if solver == "dense":
         return _probs_dense(net, params, sources, targets, dts)
-    return _probs_ssa(net, params, sources, targets, dts, n_ssa, ssa_seed, jobs)
+    return _probs_ssa(net, params, sources, targets, dts, n_ssa, ssa_seed)
 
 
 def log_likelihood(net: Network, params: ModelParams, obs: ObservationSeries,
-                   solver="tt", n_ssa=1000, ssa_seed=None,
-                   jobs=1) -> LikelihoodReport:
+                   solver="tt", n_ssa=1000, ssa_seed=None) -> LikelihoodReport:
     """Log-likelihood of the observations under a candidate network.
 
     tt/dense factors are floored at PROB_FLOOR (counted in n_floored);
     an SSA factor of exactly zero is reported as an unresolved -inf
     likelihood rather than floored.
     """
-    probs = interval_probabilities(net, params, obs, solver, n_ssa, ssa_seed,
-                                   jobs)
+    probs = interval_probabilities(net, params, obs, solver, n_ssa, ssa_seed)
     if solver == "ssa":
         per_interval = np.full(len(probs), -np.inf)
         positive = probs > 0

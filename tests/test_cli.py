@@ -179,12 +179,20 @@ class TestCounts:
                          str(small_dataset.parent), "--out",
                          str(tmp_path / "c.tsv")],
         }
-        takes = {"--jobs": ("simulate", "likelihood", "contrast"),
+        takes = {"--jobs": ("simulate", "contrast"),
                  "--nssa": ("likelihood", "infer", "contrast")}[flag]
         for name in takes:
             assert run(commands[name] + [flag, value]) == 2, name
             assert f"usage error: {flag} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
+
+    def test_likelihood_takes_no_jobs(self, chain5_file, small_dataset):
+        # the ssa likelihood samples once per distinct (source, interval),
+        # so it has no worker pool to size
+        with pytest.raises(SystemExit) as exc:
+            run(["likelihood", "--network", str(chain5_file), "--obs",
+                 str(small_dataset), "--jobs", "2"])
+        assert exc.value.code == 2
 
 
 class TestInfer:

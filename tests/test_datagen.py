@@ -160,6 +160,16 @@ class TestResampleUniform:
         with pytest.raises(ValueError, match="must be finite"):
             resample_uniform(traj, tau, t_max)
 
+    @pytest.mark.parametrize("t_max", [5.0, -0.05, -0.5])
+    def test_rejects_grid_outside_trajectory(self, t_max):
+        # past its own horizon a trajectory knows no state; before 0 the
+        # grid is empty or negative
+        traj = EventTrajectory(np.array([0], dtype=np.uint8), np.array([]),
+                               np.array([], dtype=int),
+                               np.array([], dtype=np.uint8), 1.0)
+        with pytest.raises(ValueError, match=rf"in \[0, 1.0\].*got {t_max}"):
+            resample_uniform(traj, 0.1, t_max)
+
 
 class TestObservationSeries:
     def test_rejects_non_monotone_times(self):

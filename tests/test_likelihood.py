@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import scipy.stats
+
 from epinfer import (Network, ObservationSeries, chain_network, contrast_matrix,
                      log_likelihood, permute_network, resample_uniform,
-                     serialize_contrast, simulate_epidemic, transition_prob_dense)
+                     serialize_contrast, simulate_epidemic, transition_prob_dense,
+                     transition_prob_ssa)
+from epinfer import forward
 from epinfer.graphs import all_pairs
-from epinfer.likelihood import interval_probabilities
+from epinfer.likelihood import _intervals, interval_probabilities
 
 from conftest import random_network
 
@@ -98,14 +102,12 @@ class TestLogLikelihood:
         with pytest.raises(ValueError, match="seed"):
             log_likelihood(net, params, obs, solver="ssa")
 
-    def test_ssa_parallel_matches_serial(self, params):
-        net = chain_network(4)
-        obs = make_obs(params, net, t_max=3.0, seed=63)
-        serial = log_likelihood(net, params, obs, solver="ssa", n_ssa=50,
-                                ssa_seed=64, jobs=1)
-        parallel = log_likelihood(net, params, obs, solver="ssa", n_ssa=50,
-                                  ssa_seed=64, jobs=3)
-        np.testing.assert_array_equal(serial.per_interval, parallel.per_interval)
+    def test_ssa_needs_positive_count(self, params):
+        net = chain_network(3)
+        obs = ObservationSeries(np.array([0.0, 0.1]),
+                                np.array([[1, 0, 0], [1, 0, 0]], dtype=np.uint8))
+        with pytest.raises(ValueError, match="n_ssa must be >= 1"):
+            log_likelihood(net, params, obs, solver="ssa", n_ssa=0, ssa_seed=1)
 
     def test_unknown_solver(self, params):
         net = chain_network(3)
@@ -145,6 +147,68 @@ class TestIntervalProbabilities:
                                 np.array([[1, 0], [1, 1]], dtype=np.uint8))
         with pytest.raises(ValueError, match="node count"):
             interval_probabilities(chain_network(3), params, obs, solver="dense")
+
+
+class TestSSAGroups:
+    """The ssa path samples once per distinct (source, dt), like tt evolves."""
+
+    def test_group_shares_one_sample_from_its_stream(self, params):
+        net = chain_network(4)
+        obs = make_obs(params, net, t_max=3.0, seed=63)
+        probs = interval_probabilities(net, params, obs, solver="ssa", n_ssa=50,
+                                       ssa_seed=64)
+        dts = _intervals(obs)
+        groups = {}
+        for k in range(obs.n_intervals):
+            groups.setdefault((obs.states[k].tobytes(), dts[k]), []).append(k)
+        assert len(groups) < obs.n_intervals
+        seen = {}
+        for g, members in enumerate(groups.values()):
+            for k in members:
+                expected = transition_prob_ssa(
+                    net, params, obs.states[k], obs.states[k + 1], dts[k], 50,
+                    np.random.default_rng([64, g]))
+                assert probs[k] == expected
+                key = (obs.states[k].tobytes(), obs.states[k + 1].tobytes(), dts[k])
+                assert seen.setdefault(key, probs[k]) == probs[k]
+
+    def test_one_sample_per_group(self, params, monkeypatch):
+        net = chain_network(4)
+        obs = make_obs(params, net, t_max=3.0, seed=63)
+        calls = []
+        kernel = forward._jump_events
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(forward, "_jump_events", counted)
+        log_likelihood(net, params, obs, solver="ssa", n_ssa=20, ssa_seed=1)
+        dts = _intervals(obs)
+        n_groups = len({(obs.states[k].tobytes(), dts[k])
+                        for k in range(obs.n_intervals)})
+        assert n_groups < obs.n_intervals
+        assert len(calls) == 20 * n_groups
+
+    def test_within_binomial_ci_of_dense(self, params):
+        # every distinct (source, target) pair of a seeded series, against
+        # the 99% binomial interval around the exact value, as criterion 7
+        net = chain_network(5)
+        obs = make_obs(params, net, t_max=30.0, seed=65)
+        n_ssa = 2000
+        p_ssa = interval_probabilities(net, params, obs, solver="ssa",
+                                       n_ssa=n_ssa, ssa_seed=66)
+        p_dense = interval_probabilities(net, params, obs, solver="dense")
+        pairs = {}
+        for k in range(obs.n_intervals):
+            key = (obs.states[k].tobytes(), obs.states[k + 1].tobytes())
+            pairs.setdefault(key, k)
+        misses = sum(
+            scipy.stats.binomtest(round(p_ssa[k] * n_ssa), n_ssa,
+                                  min(p_dense[k], 1.0)).pvalue < 0.01
+            for k in pairs.values())
+        assert len(pairs) >= 10
+        assert misses <= 1
 
 
 class TestContrastMatrix:
