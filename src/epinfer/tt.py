@@ -9,6 +9,15 @@ epidemic generator that rank is 2 + 2c, where c is the smaller count of
 nodes on either side of a bond with an edge crossing it, however many
 terms the operator has.
 
+Rounding is the TT-SVD recompression of Oseledets (SISC 2011): the train
+is orthogonalized, then truncated by SVDs bond by bond.  A bond rank above
+the dense bound (min of the mode-size products on either side), as a
+matrix-vector product leaves it, cannot survive, and a core at such a bond
+needs no QR: the identity is an exact orthogonal factor, so its content
+moves to a neighbour with one matmul.  The factorizations call LAPACK
+directly and raise numpy.linalg.LinAlgError when one fails or meets a
+non-finite entry.
+
 State indexing is big-endian: state x maps to sum_n x_n * 2^(N-1-n) with
 node 0 the most significant bit, matching C-order flattening of the dense
 tensor.
@@ -16,10 +25,12 @@ tensor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 __all__ = [
     "TTVector",
@@ -124,6 +135,13 @@ class CPOperator:
         return [c.reshape(c.shape[0], 2, 2, c.shape[2]) for c in cores]
 
     @cached_property
+    def _mpo_matrices(self) -> list:
+        """mpo cores laid out as (r, 1, 2*r', 2): per left rank index, a
+        matrix with rows (out, r') and columns in, as cp_apply multiplies."""
+        return [np.ascontiguousarray(m.transpose(0, 1, 3, 2)).reshape(m.shape[0], 1, -1, 2)
+                for m in self.mpo]
+
+    @cached_property
     def uniformized(self) -> CPOperator:
         """I + A/L with L = exit_rate_bound: the identity term, then A's terms / L."""
         if self.exit_rate_bound is None:
@@ -160,9 +178,16 @@ def tt_element(p: TTVector, x) -> float:
 
 def _chop(s, delta) -> int:
     """Smallest kept rank so the discarded singular-value tail is <= delta."""
-    tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[r] = ||s[r:]||
-    # tails never increases, so the entries above delta are a prefix
-    return max(1, int(np.count_nonzero(tails > delta)))
+    # ||s[r:]|| never decreases as r falls, so scan r down from the end
+    # until it exceeds delta; the sum runs in the order np.cumsum takes
+    rank = len(s)
+    tail_sq = 0.0
+    for v in s[::-1].tolist():
+        tail_sq += v * v
+        if math.sqrt(tail_sq) > delta:
+            break
+        rank -= 1
+    return max(1, rank)
 
 
 def tt_add(a: TTVector, b: TTVector) -> TTVector:
@@ -203,9 +228,16 @@ def tt_scale(a: TTVector, c) -> TTVector:
 def tt_round(p: TTVector, tol) -> TTVector:
     """Re-compress to the smallest ranks meeting a relative 2-norm error tol.
 
-    Left-to-right QR orthogonalization followed by right-to-left SVD
+    Left-to-right orthogonalization followed by right-to-left SVD
     truncation; the error budget tol*||p|| is split evenly over the N-1
-    bonds.  Ranks never increase; tol=0 re-orthogonalizes losslessly.
+    bonds, and cores 1..N-1 come out right-orthogonal.  The orthogonalizing
+    pass skips the QR of every core whose left unfolding is wide
+    (r_left*m <= r_right), taking the identity as its orthogonal factor; a
+    right-to-left pre-pass does the same for the tail of cores whose right
+    unfolding is tall (r_left >= m*r_right), so both ends reach the dense
+    bound by matmuls alone.  Ranks never increase; tol=0 re-orthogonalizes
+    losslessly.  On two or more sites a non-finite entry raises
+    numpy.linalg.LinAlgError.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -218,19 +250,35 @@ def _round_cores(cores, tol) -> list:
     n_sites = len(cores)
     if n_sites == 1:
         return [cores[0].copy()]
+    # Right-to-left over the tail of tall right unfoldings (r >= m*r'): the
+    # identity is an exact right-orthogonal factor, so each core's content
+    # moves into its left neighbour by one matmul.
+    for n in range(n_sites - 1, 0, -1):
+        r_left, m, r_right = cores[n].shape
+        if r_left < m * r_right:
+            break
+        prev = cores[n - 1]
+        cores[n - 1] = (prev.reshape(-1, r_left) @ cores[n].reshape(r_left, -1)).reshape(
+            prev.shape[0], prev.shape[1], m * r_right)
+        cores[n] = np.eye(m * r_right).reshape(m * r_right, m, r_right)
+    # Left-to-right orthogonalization.  A wide left unfolding (r*m <= r')
+    # also has the identity as an exact orthogonal factor; the others take
+    # a QR.
     for n in range(n_sites - 1):
         r_left, m, r_right = cores[n].shape
-        q, r = np.linalg.qr(cores[n].reshape(r_left * m, r_right))
-        cores[n] = q.reshape(r_left, m, q.shape[1])
-        nxt = cores[n + 1]
-        cores[n + 1] = (r @ nxt.reshape(nxt.shape[0], -1)).reshape(
-            q.shape[1], nxt.shape[1], nxt.shape[2])
+        nxt = cores[n + 1].reshape(r_right, -1)
+        if r_left * m <= r_right:
+            nxt = cores[n].reshape(r_left * m, r_right) @ nxt
+            cores[n] = np.eye(r_left * m).reshape(r_left, m, r_left * m)
+        else:
+            q, nxt = _qr(cores[n].reshape(r_left * m, r_right), nxt)
+            cores[n] = q.reshape(r_left, m, r_right)
+        cores[n + 1] = nxt.reshape(nxt.shape[0], cores[n + 1].shape[1], -1)
     norm = np.linalg.norm(cores[-1])
     delta = tol * norm / np.sqrt(n_sites - 1)
     for n in range(n_sites - 1, 0, -1):
         r_left, m, r_right = cores[n].shape
-        u, s, vt = np.linalg.svd(cores[n].reshape(r_left, m * r_right),
-                                 full_matrices=False)
+        u, s, vt = _svd(cores[n].reshape(r_left, m * r_right))
         r = _chop(s, delta)
         cores[n] = vt[:r].reshape(r, m, r_right)
         carry = u[:, :r] * s[:r]
@@ -238,6 +286,32 @@ def _round_cores(cores, tol) -> list:
         cores[n - 1] = (prev.reshape(-1, r_left) @ carry).reshape(
             prev.shape[0], prev.shape[1], r)
     return cores
+
+
+def _qr(a, b):
+    """Q and R @ b, for the thin QR a = QR of a tall matrix, by LAPACK."""
+    qr, tau, _, info = lapack.dgeqrf(a)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
+    rb = blas.dtrmm(1.0, qr[:a.shape[1]], b)  # reads only the upper triangle, R
+    q, _, info = lapack.dorgqr(qr, tau, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dorgqr failed with info {info}")
+    return q, rb
+
+
+def _svd(a):
+    """Thin SVD factors u, s, vt of a matrix, by LAPACK.
+
+    Raises numpy.linalg.LinAlgError when dgesdd fails, which it does on a
+    NaN entry, or returns non-finite singular values, as on an inf entry.
+    """
+    # a C-ordered matrix is its transpose in Fortran order: factor that and
+    # transpose the factors back, which leaves them C-ordered
+    v, s, ut, info = lapack.dgesdd(a.T, full_matrices=0)
+    if info != 0 or not np.isfinite(s).all():
+        raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info {info})")
+    return ut.T, s, v.T
 
 
 def tt_inner(a: TTVector, b: TTVector) -> float:
@@ -261,10 +335,10 @@ def cp_apply(op: CPOperator, p: TTVector) -> TTVector:
     if op.n_sites != p.n_sites:
         raise ValueError("operator and vector site counts differ")
     cores = []
-    for m, c in zip(op.mpo, p.cores):
-        # out[(a, b), i, (e, d)] = sum_j m[a, i, j, e] * c[b, j, d]
-        out = np.tensordot(m, c, axes=(2, 1)).transpose(0, 3, 1, 2, 4)
-        cores.append(out.reshape(m.shape[0] * c.shape[0], 2, m.shape[3] * c.shape[2]))
+    for m, c in zip(op._mpo_matrices, p.cores):
+        # out[a, b, (i, e), d] = sum_j m[a, 0, (i, e), j] * c[b, j, d]
+        out = np.matmul(m, c)
+        cores.append(out.reshape(m.shape[0] * c.shape[0], 2, -1))
     return TTVector(cores)
 
 

@@ -90,6 +90,35 @@ def tt_from_dense(v, tol=0.0) -> TTVector:
     return TTVector(cores)
 
 
+def round_cores_reference(cores, tol) -> list:
+    """The TT rounding of Oseledets (SISC 2011) on cores of shape (r, m, r'),
+    by numpy: QR of every core left to right, then SVD truncation right to
+    left, each bond cut at tol*||p||/sqrt(N-1)."""
+    cores = list(cores)
+    n_sites = len(cores)
+    if n_sites == 1:
+        return [cores[0].copy()]
+    for n in range(n_sites - 1):
+        r_left, m, r_right = cores[n].shape
+        q, r = np.linalg.qr(cores[n].reshape(r_left * m, r_right))
+        cores[n] = q.reshape(r_left, m, q.shape[1])
+        nxt = cores[n + 1]
+        cores[n + 1] = (r @ nxt.reshape(nxt.shape[0], -1)).reshape(
+            q.shape[1], nxt.shape[1], nxt.shape[2])
+    delta = tol * np.linalg.norm(cores[-1]) / np.sqrt(n_sites - 1)
+    for n in range(n_sites - 1, 0, -1):
+        r_left, m, r_right = cores[n].shape
+        u, s, vt = np.linalg.svd(cores[n].reshape(r_left, m * r_right),
+                                 full_matrices=False)
+        tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[r] = ||s[r:]||
+        r = max(1, int(np.count_nonzero(tails > delta)))
+        cores[n] = vt[:r].reshape(r, m, r_right)
+        prev = cores[n - 1]
+        cores[n - 1] = (prev.reshape(-1, r_left) @ (u[:, :r] * s[:r])).reshape(
+            prev.shape[0], prev.shape[1], r)
+    return cores
+
+
 @pytest.fixture
 def params():
     return ModelParams(beta=1.0, gamma=0.5, eps=0.01)

@@ -5,6 +5,7 @@ a refactor that renames or moves one of them breaks it without any other
 test noticing.  Each run takes a few seconds.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,10 @@ def test_traced_run_is_correct_and_complete(workload):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert '"correct": true' in proc.stdout
     assert "absent call sites: none" in proc.stdout
+    if workload == "loglik-austria9-tt":
+        # evolve_tt calls cp_apply and tt_round once per Poisson term, where
+        # the trace wraps them; a fused or bypassed call site would hide the
+        # tt layer from the trace without failing the run
+        metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
+        assert metrics["forward.evolve_tt.cp_apply_per_call"]["value"] == 15
+        assert metrics["tt.tt_round.busy_s"]["value"] > 0

@@ -8,9 +8,10 @@ from epinfer import (CPOperator, Network, TTVector, austria_network,
                      unit_state_tt)
 from epinfer import ModelParams, build_generator_cp, build_generator_dense
 from epinfer.graphs import fiedler_ordering, permute_network
+from epinfer.tt import _round_cores
 
-from conftest import (index_state, random_network, state_index, tt_from_dense,
-                      tt_to_dense)
+from conftest import (index_state, random_network, round_cores_reference,
+                      state_index, tt_from_dense, tt_to_dense)
 
 
 def random_tt(rng, n_sites, rank):
@@ -22,6 +23,35 @@ def random_tt(rng, n_sites, rank):
     cores = [rng.standard_normal((ranks[n], 2, ranks[n + 1]))
              for n in range(n_sites)]
     return TTVector(cores)
+
+
+def cores_to_dense(cores) -> np.ndarray:
+    """Full vector of a tensor train with any mode size."""
+    out = np.ones((1, 1))
+    for core in cores:
+        out = (out @ core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
+    return out.ravel()
+
+
+@st.composite
+def filled_trains(draw):
+    """Random cores of mode size 2 or 4 on 1-8 sites.  Over-full trains
+    carry a few times the smaller of 6 and the dense bound at each bond, as
+    after cp_apply; under-full ones at most that bound."""
+    n_sites = draw(st.integers(1, 8))
+    m = draw(st.sampled_from([2, 4]))
+    over = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factor = int(rng.integers(2, 5))
+    ranks = [1]
+    for k in range(1, n_sites):
+        bound = min(m ** k, m ** (n_sites - k))
+        if over:
+            ranks.append(min(bound, 6) * factor)
+        else:
+            ranks.append(int(rng.integers(1, min(bound, 8) + 1)))
+    ranks.append(1)
+    return [rng.standard_normal((ranks[n], m, ranks[n + 1])) for n in range(n_sites)]
 
 
 class TestStateIndex:
@@ -208,6 +238,41 @@ class TestRound:
             assert all(r1 <= r0 for r0, r1 in zip(p.ranks, rounded.ranks))
             err = np.linalg.norm(tt_to_dense(rounded) - tt_to_dense(p))
             assert err <= tol * np.linalg.norm(tt_to_dense(p)) + 1e-13
+
+    @settings(max_examples=150, deadline=None)
+    @given(filled_trains(), st.sampled_from([0.0, 1e-12]))
+    def test_matches_reference_sweep(self, cores, tol):
+        n_sites, m = len(cores), cores[0].shape[1]
+        got = (tt_round(TTVector(cores), tol).cores if m == 2
+               else _round_cores(cores, tol))
+        want = round_cores_reference(cores, tol)
+        assert [c.shape for c in got] == [c.shape for c in want]
+        norm = np.linalg.norm(cores_to_dense(cores))
+        np.testing.assert_allclose(cores_to_dense(got), cores_to_dense(want),
+                                   rtol=0, atol=1e-13 * norm)
+        for n, core in enumerate(got):
+            bound = min(m ** n, m ** (n_sites - n))
+            assert core.shape[0] <= bound
+            if n >= 1:  # right-orthogonal: the norm sits in core 0
+                v = core.reshape(core.shape[0], -1)
+                np.testing.assert_allclose(v @ v.T, np.eye(len(v)), rtol=0, atol=1e-13)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n_sites,site", [(2, 1), (6, 0), (6, 2), (6, 5)])
+    @pytest.mark.parametrize("fill", ["rank1", "under", "over"])
+    def test_non_finite_entry_raises(self, bad, n_sites, site, fill):
+        # LAPACK reports a non-finite matrix by its info code or only by
+        # non-finite singular values, so the sweep must check both
+        rng = np.random.default_rng(8)
+        if fill != "over":
+            p = random_tt(rng, n_sites, 1 if fill == "rank1" else 2)
+        else:  # doubled full ranks, as after cp_apply
+            full = random_tt(rng, n_sites, 8)
+            p = tt_add(full, full)
+        p.cores[site][0, 0, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            tt_round(p, 1e-12)
 
 
 class TestInner:
