@@ -21,8 +21,7 @@ from .graphs import (Network, all_pairs, austria_network, chain_network,
                      parse_network, serialize_network, smallworld_network)
 from .inference import (initial_guess, initial_scores, mcmc_optimize,
                         serialize_chain)
-from .likelihood import (_map_jobs, contrast_matrix, log_likelihood,
-                         serialize_contrast)
+from .likelihood import contrast_matrix, log_likelihood, serialize_contrast
 
 __all__ = ["main", "entry"]
 
@@ -84,14 +83,6 @@ def _check_counts(args):
             raise UsageError(f"--{flag} must be >= 1")
 
 
-def _simulate_one(task):
-    net, params, x0, tmax, tau, seed, path = task
-    rng = np.random.default_rng(seed)
-    traj = simulate_epidemic(net, params, x0, tmax, rng)
-    obs = resample_uniform(traj, tau, tmax)
-    Path(path).write_text(serialize_observations(obs))
-
-
 def cmd_simulate(args) -> int:
     net = _load_network(args)
     params = _params(args)
@@ -107,10 +98,12 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "network.net").write_text(serialize_network(net))
-    tasks = [(net, params, x0, args.tmax, args.tau, args.seed + i,
-              str(out / f"dataset-{i}.obs")) for i in range(args.ndatasets)]
-    _map_jobs(_simulate_one, tasks, args.jobs)
-    print(f"wrote {len(tasks)} dataset(s) to {out}")
+    for i in range(args.ndatasets):
+        rng = np.random.default_rng(args.seed + i)
+        traj = simulate_epidemic(net, params, x0, args.tmax, rng)
+        obs = resample_uniform(traj, args.tau, args.tmax)
+        (out / f"dataset-{i}.obs").write_text(serialize_observations(obs))
+    print(f"wrote {args.ndatasets} dataset(s) to {out}")
     return 0
 
 
@@ -219,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ndatasets", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("likelihood", help="log-likelihood of a network for data")
@@ -252,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output TSV file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, one dataset each; pays for tt and "
+                        "ssa, not for dense, whose BLAS already uses every core")
     p.set_defaults(func=cmd_contrast)
 
     p = sub.add_parser("order", help="Fiedler value and node ordering")

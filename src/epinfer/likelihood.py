@@ -80,20 +80,6 @@ def _intervals(obs: ObservationSeries):
     return dts
 
 
-def _map_jobs(fn, tasks, jobs):
-    """[fn(task) for task in tasks], over up to `jobs` worker processes.
-
-    Workers are spawned, not forked: forking a process whose BLAS threads
-    are running is unsafe.  Results come back in task order.
-    """
-    if jobs > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
-                                 mp_context=ctx) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
-
-
 def _groups(sources, dts) -> dict:
     """Interval indices of each distinct (source bytes, dt), in first-seen order."""
     groups = {}
@@ -249,7 +235,15 @@ def contrast_matrix(truth: Network, datasets, params: ModelParams,
     if not datasets:
         raise ValueError("need at least one dataset")
     tasks = [(truth, obs, params, solver, n_ssa, ssa_seed) for obs in datasets]
-    return sum(_map_jobs(_toggle_gaps, tasks, jobs)) / len(datasets)
+    if jobs > 1 and len(datasets) > 1:
+        # spawned, not forked: forking while BLAS threads run is unsafe
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=min(jobs, len(datasets)),
+                                 mp_context=ctx) as pool:
+            gaps = list(pool.map(_toggle_gaps, tasks))
+    else:
+        gaps = [_toggle_gaps(task) for task in tasks]
+    return sum(gaps) / len(datasets)
 
 
 def serialize_contrast(matrix) -> str:

@@ -236,8 +236,7 @@ def tt_round(p: TTVector, tol) -> TTVector:
     right-to-left pre-pass does the same for the tail of cores whose right
     unfolding is tall (r_left >= m*r_right), so both ends reach the dense
     bound by matmuls alone.  Ranks never increase; tol=0 re-orthogonalizes
-    losslessly.  On two or more sites a non-finite entry raises
-    numpy.linalg.LinAlgError.
+    losslessly.  A non-finite entry raises numpy.linalg.LinAlgError.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -249,6 +248,8 @@ def _round_cores(cores, tol) -> list:
     cores = list(cores)
     n_sites = len(cores)
     if n_sites == 1:
+        if not np.isfinite(cores[0]).all():
+            raise np.linalg.LinAlgError("non-finite entry in a one-site train")
         return [cores[0].copy()]
     # Right-to-left over the tail of tall right unfoldings (r >= m*r'): the
     # identity is an exact right-orthogonal factor, so each core's content

@@ -106,17 +106,6 @@ class TestSimulate:
         obs = parse_observations(read(out / "dataset-0.obs"))
         np.testing.assert_array_equal(obs.states[0], [0, 1, 1, 0, 0])
 
-    def test_jobs_parallel_matches_serial(self, tmp_path, chain5_file):
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        args = ["simulate", "--network", str(chain5_file), "--tmax", "5",
-                "--tau", "0.1", "--ndatasets", "3", "--seed", "11"]
-        assert run(args + ["--out", str(serial)]) == 0
-        assert run(args + ["--out", str(parallel), "--jobs", "2"]) == 0
-        for i in range(3):
-            assert read(serial / f"dataset-{i}.obs") == \
-                read(parallel / f"dataset-{i}.obs")
-
 
 class TestLikelihood:
     def test_dense_and_tt_agree(self, chain5_file, small_dataset, capsys):
@@ -168,9 +157,6 @@ class TestCounts:
                                               small_dataset, capsys, flag,
                                               value):
         commands = {
-            "simulate": ["simulate", "--network", str(chain5_file), "--tmax",
-                         "1", "--tau", "0.1", "--seed", "1", "--out",
-                         str(tmp_path / "sim")],
             "likelihood": ["likelihood", "--network", str(chain5_file),
                            "--obs", str(small_dataset)],
             "infer": ["infer", "--obs", str(small_dataset), "--neval", "1",
@@ -179,12 +165,13 @@ class TestCounts:
                          str(small_dataset.parent), "--out",
                          str(tmp_path / "c.tsv")],
         }
-        takes = {"--jobs": ("simulate", "contrast"),
+        takes = {"--jobs": ("contrast",),
                  "--nssa": ("likelihood", "infer", "contrast")}[flag]
         for name in takes:
             assert run(commands[name] + [flag, value]) == 2, name
             assert f"usage error: {flag} must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "sim").exists()
+        assert not (tmp_path / "run").exists()
+        assert not (tmp_path / "c.tsv").exists()
 
     def test_likelihood_takes_no_jobs(self, chain5_file, small_dataset):
         # the ssa likelihood samples once per distinct (source, interval),
@@ -193,6 +180,16 @@ class TestCounts:
             run(["likelihood", "--network", str(chain5_file), "--obs",
                  str(small_dataset), "--jobs", "2"])
         assert exc.value.code == 2
+
+    def test_simulate_takes_no_jobs(self, tmp_path, chain5_file):
+        # drawing a trajectory costs less than spawning a worker, so
+        # simulate writes its datasets in one process
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--network", str(chain5_file), "--tmax", "1",
+                 "--tau", "0.1", "--seed", "1", "--out", str(tmp_path / "sim"),
+                 "--jobs", "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "sim").exists()
 
 
 class TestInfer:
@@ -293,7 +290,8 @@ class TestContrast:
                     str(empty), "--out", str(tmp_path / "c.tsv")])
         assert code == 1
 
-    def test_jobs_parallel_matches_serial(self, tmp_path, chain5_file):
+    @pytest.mark.parametrize("solver", ["dense", "tt"])
+    def test_jobs_parallel_matches_serial(self, tmp_path, chain5_file, solver):
         data = tmp_path / "data"
         run(["simulate", "--network", str(chain5_file), "--tmax", "10",
              "--tau", "0.1", "--ndatasets", "2", "--seed", "31",
@@ -301,7 +299,7 @@ class TestContrast:
         serial = tmp_path / "serial.tsv"
         parallel = tmp_path / "parallel.tsv"
         base = ["contrast", "--truth", str(chain5_file), "--obs-dir", str(data),
-                "--solver", "dense"]
+                "--solver", solver]
         assert run(base + ["--out", str(serial)]) == 0
         assert run(base + ["--out", str(parallel), "--jobs", "2"]) == 0
         assert read(serial) == read(parallel)

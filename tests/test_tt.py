@@ -259,7 +259,7 @@ class TestRound:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("n_sites,site", [(2, 1), (6, 0), (6, 2), (6, 5)])
+    @pytest.mark.parametrize("n_sites,site", [(1, 0), (2, 1), (6, 0), (6, 2), (6, 5)])
     @pytest.mark.parametrize("fill", ["rank1", "under", "over"])
     def test_non_finite_entry_raises(self, bad, n_sites, site, fill):
         # LAPACK reports a non-finite matrix by its info code or only by
