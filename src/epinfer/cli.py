@@ -50,9 +50,9 @@ def _make_network(spec: str) -> Network:
         try:
             n = int(parts[1])
             a, b = (int(v) for v in parts[2][len("rewire="):].split(","))
-        except ValueError:
-            raise UsageError(f"bad smallworld spec {spec!r}") from None
-        return smallworld_network(n, a, b)
+            return smallworld_network(n, a, b)
+        except ValueError as exc:
+            raise UsageError(f"bad smallworld spec {spec!r}: {exc}") from None
     raise UsageError(f"unknown network spec {spec!r}")
 
 
@@ -88,6 +88,9 @@ def cmd_simulate(args) -> int:
     params = _params(args)
     if not (0 < args.tmax < math.inf and 0 < args.tau < math.inf):
         raise UsageError("--tmax and --tau must be finite and positive")
+    if args.tau > args.tmax:
+        raise UsageError("--tau must not exceed --tmax: a dataset needs at "
+                         "least 2 records")
     if args.ndatasets < 1:
         raise UsageError("--ndatasets must be >= 1")
     if args.x0 is not None:
@@ -142,9 +145,7 @@ def cmd_infer(args) -> int:
     if args.truth:
         truth = parse_network(Path(args.truth).read_text())
     chain = mcmc_optimize(obs, params, g0, args.neval, proposal=args.proposal,
-                          solver=args.solver, rng=rng,
-                          n_ssa=args.nssa, ssa_seed=args.seed,
-                          reference=truth)
+                          solver=args.solver, rng=rng, reference=truth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "chain.tsv").write_text(serialize_chain(chain))
@@ -166,7 +167,7 @@ def cmd_contrast(args) -> int:
         raise ValueError(f"no .obs files in {args.obs_dir}")
     datasets = [parse_observations(p.read_text()) for p in obs_files]
     matrix = contrast_matrix(truth, datasets, params, solver=args.solver,
-                             n_ssa=args.nssa, ssa_seed=args.seed, jobs=args.jobs)
+                             jobs=args.jobs)
     Path(args.out).write_text(serialize_contrast(matrix))
     print(f"wrote contrast for {len(datasets)} dataset(s) to {args.out}")
     return 0
@@ -186,12 +187,6 @@ def _add_rates(p):
     p.add_argument("--beta", type=float, default=1.0, help="per-contact infection rate")
     p.add_argument("--gamma", type=float, default=0.5, help="recovery rate")
     p.add_argument("--eps", type=float, default=0.01, help="self-infection rate")
-
-
-def _add_solver(p):
-    p.add_argument("--solver", choices=("tt", "dense", "ssa"), default="tt")
-    p.add_argument("--nssa", type=int, default=1000,
-                   help="ssa trajectories per distinct (source, interval)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--obs", required=True, help="observation file")
     _add_rates(p)
-    _add_solver(p)
+    p.add_argument("--solver", choices=("tt", "dense", "ssa"), default="tt")
+    p.add_argument("--nssa", type=int, default=1000,
+                   help="ssa trajectories per distinct (source, interval)")
     p.add_argument("--seed", type=int, default=0, help="seed for the ssa solver")
     p.add_argument("--hist", help="write per-interval log10 probabilities here")
     p.set_defaults(func=cmd_likelihood)
@@ -226,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="recover the network from data by MCMC")
     p.add_argument("--obs", required=True)
     _add_rates(p)
-    _add_solver(p)
+    p.add_argument("--solver", choices=("tt", "dense"), default="tt")
     p.add_argument("--neval", type=int, default=400)
     p.add_argument("--proposal", choices=("toggle", "norepl"), default="toggle")
     p.add_argument("--init", default="score",
@@ -241,12 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs-dir", dest="obs_dir", required=True,
                    help="directory of .obs files")
     _add_rates(p)
-    _add_solver(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--solver", choices=("tt", "dense"), default="tt")
     p.add_argument("--out", required=True, help="output TSV file")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, one dataset each; pays for tt and "
-                        "ssa, not for dense, whose BLAS already uses every core")
+                   help="worker processes, one dataset each; pays for tt, not "
+                        "for dense, whose BLAS already uses every core")
     p.set_defaults(func=cmd_contrast)
 
     p = sub.add_parser("order", help="Fiedler value and node ordering")

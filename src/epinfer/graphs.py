@@ -12,7 +12,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 __all__ = [
-    "EigenSolverError",
     "Network",
     "all_pairs",
     "pair_index",
@@ -29,10 +28,6 @@ __all__ = [
     "smallworld_network",
     "austria_network",
 ]
-
-
-class EigenSolverError(RuntimeError):
-    """The symmetric eigensolver failed to converge on a Laplacian."""
 
 
 @dataclass(frozen=True)
@@ -130,10 +125,7 @@ def fiedler_vector(net: Network) -> tuple[float, np.ndarray]:
     """
     if net.n_nodes < 2:
         raise ValueError("fiedler_vector needs at least 2 nodes")
-    try:
-        vals, vecs = np.linalg.eigh(laplacian(net))
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigensolver failed: {exc}") from exc
+    vals, vecs = np.linalg.eigh(laplacian(net))
     lam1 = float(vals[1])
     # When the zero eigenvalue is degenerate (disconnected graph) the solver
     # may mix the constant mode into both leading columns; deflate it and
@@ -257,6 +249,8 @@ def smallworld_network(n_nodes, rewire_from, rewire_to) -> Network:
     Nodes are given 1-based here to match the CLI spelling: the ring link
     (a, a+1) is removed and replaced by (a, b).
     """
+    if n_nodes < 3:
+        raise ValueError(f"smallworld needs at least 3 nodes, got {n_nodes}")
     a = rewire_from - 1
     b = rewire_to - 1
     if not (0 <= a < n_nodes and 0 <= b < n_nodes):

@@ -60,30 +60,22 @@ def initial_scores(obs: ObservationSeries) -> np.ndarray:
     return h
 
 
-def initial_guess(scores, mode="threshold", rng=None) -> Network:
+def initial_guess(scores, mode="threshold") -> Network:
     """Network from the score matrix.
 
-    threshold: keep pairs whose score is at least the mean pair score.
-    sample: keep each pair independently with probability score/max score.
-    All-zero scores give the empty network in both modes.
+    The one mode, threshold, keeps pairs whose score is at least the mean
+    pair score.  All-zero scores give the empty network.
     """
+    if mode != "threshold":
+        raise ValueError(f"unknown mode {mode!r}")
     scores = np.asarray(scores)
     n = scores.shape[0]
     pairs = all_pairs(n)
     values = np.array([scores[i, j] for i, j in pairs])
     if values.max(initial=0.0) <= 0.0:
         return Network(n)
-    if mode == "threshold":
-        mean = values.sum() / len(pairs)
-        chosen = [p for p, v in zip(pairs, values) if v >= mean]
-    elif mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
-        top = values.max()
-        chosen = [p for p, v in zip(pairs, values) if rng.random() < v / top]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return Network(n, chosen)
+    mean = values.sum() / len(pairs)
+    return Network(n, (p for p, v in zip(pairs, values) if v >= mean))
 
 
 class ToggleProposer:
@@ -221,11 +213,17 @@ def maximize_loglike(loglike_fn, g0: Network, n_eval, proposal="toggle",
 
 def mcmc_optimize(obs: ObservationSeries, params: ModelParams, g0: Network,
                   n_eval, proposal="toggle", solver="tt", rng=None,
-                  n_ssa=1000, ssa_seed=None, reference=None) -> McmcChain:
-    """Likelihood maximization over networks for one observation series."""
+                  reference=None) -> McmcChain:
+    """Likelihood maximization over networks for one observation series.
+
+    The solver is tt or dense: an ssa likelihood is -inf wherever sampling
+    misses a rare transition, so it cannot rank candidate networks.
+    """
+    if solver not in ("tt", "dense"):
+        raise ValueError(f"mcmc solver must be tt or dense, got {solver!r}")
 
     def objective(net):
-        return log_likelihood(net, params, obs, solver, n_ssa, ssa_seed).log_like
+        return log_likelihood(net, params, obs, solver).log_like
 
     return maximize_loglike(objective, g0, n_eval, proposal, rng,
                             reference=reference)

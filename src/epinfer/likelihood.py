@@ -210,31 +210,33 @@ def log_likelihood(net: Network, params: ModelParams, obs: ObservationSeries,
 
 
 def _toggle_gaps(task):
-    truth, obs, params, solver, n_ssa, ssa_seed = task
-    ref = log_likelihood(truth, params, obs, solver, n_ssa, ssa_seed)
+    truth, obs, params, solver = task
+    ref = log_likelihood(truth, params, obs, solver)
     n = truth.n_nodes
     gaps = np.zeros((n, n))
     for i, j in all_pairs(n):
         toggled = truth.with_edge_toggled((i, j))
-        rep = log_likelihood(toggled, params, obs, solver, n_ssa, ssa_seed)
+        rep = log_likelihood(toggled, params, obs, solver)
         gaps[i, j] = gaps[j, i] = rep.log10_like - ref.log10_like
     return gaps
 
 
 def contrast_matrix(truth: Network, datasets, params: ModelParams,
-                    solver="tt", n_ssa=1000, ssa_seed=None,
-                    jobs=1) -> np.ndarray:
+                    solver="tt", jobs=1) -> np.ndarray:
     """Mean log10-likelihood gap of every single-link toggle of truth.
 
     Entry (m, n) is the mean over datasets of log10 L(truth with {m, n}
     toggled) - log10 L(truth); the matrix is symmetric with zero diagonal.
-    jobs > 1 spreads the datasets over worker processes; the result does
-    not depend on it.
+    The solver is tt or dense: an ssa likelihood is -inf wherever sampling
+    misses a rare transition, and the gaps would be nan.  jobs > 1 spreads
+    the datasets over worker processes; the result does not depend on it.
     """
+    if solver not in ("tt", "dense"):
+        raise ValueError(f"contrast solver must be tt or dense, got {solver!r}")
     datasets = list(datasets)
     if not datasets:
         raise ValueError("need at least one dataset")
-    tasks = [(truth, obs, params, solver, n_ssa, ssa_seed) for obs in datasets]
+    tasks = [(truth, obs, params, solver) for obs in datasets]
     if jobs > 1 and len(datasets) > 1:
         # spawned, not forked: forking while BLAS threads run is unsafe
         ctx = multiprocessing.get_context("spawn")

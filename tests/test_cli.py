@@ -97,6 +97,13 @@ class TestSimulate:
         assert "--tmax and --tau must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_tau_above_tmax_is_usage_error(self, tmp_path, chain5_file, capsys):
+        # one record makes no interval, so every later command would fail
+        assert run(["simulate", "--network", str(chain5_file), "--tmax", "0.5",
+                    "--tau", "1", "--seed", "1", "--out", str(tmp_path / "x")]) == 2
+        assert "--tau must not exceed --tmax" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_custom_x0(self, tmp_path, chain5_file):
         out = tmp_path / "sim"
         code = run(["simulate", "--network", str(chain5_file), "--tmax", "1",
@@ -159,17 +166,33 @@ class TestCounts:
         commands = {
             "likelihood": ["likelihood", "--network", str(chain5_file),
                            "--obs", str(small_dataset)],
+            "contrast": ["contrast", "--truth", str(chain5_file), "--obs-dir",
+                         str(small_dataset.parent), "--out",
+                         str(tmp_path / "c.tsv")],
+        }
+        name = {"--jobs": "contrast", "--nssa": "likelihood"}[flag]
+        assert run(commands[name] + [flag, value]) == 2
+        assert f"usage error: {flag} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "c.tsv").exists()
+
+    def test_infer_and_contrast_take_no_ssa(self, tmp_path, chain5_file,
+                                            small_dataset):
+        # an ssa likelihood is -inf for every candidate network, so it can
+        # neither drive the search nor give a contrast
+        commands = {
             "infer": ["infer", "--obs", str(small_dataset), "--neval", "1",
                       "--seed", "1", "--out", str(tmp_path / "run")],
             "contrast": ["contrast", "--truth", str(chain5_file), "--obs-dir",
                          str(small_dataset.parent), "--out",
                          str(tmp_path / "c.tsv")],
         }
-        takes = {"--jobs": ("contrast",),
-                 "--nssa": ("likelihood", "infer", "contrast")}[flag]
-        for name in takes:
-            assert run(commands[name] + [flag, value]) == 2, name
-            assert f"usage error: {flag} must be >= 1" in capsys.readouterr().err
+        cases = [("infer", "--solver", "ssa"), ("infer", "--nssa", "5"),
+                 ("contrast", "--solver", "ssa"), ("contrast", "--nssa", "5"),
+                 ("contrast", "--seed", "1")]
+        for name, flag, value in cases:
+            with pytest.raises(SystemExit) as exc:
+                run(commands[name] + [flag, value])
+            assert exc.value.code == 2, (name, flag)
         assert not (tmp_path / "run").exists()
         assert not (tmp_path / "c.tsv").exists()
 
@@ -328,6 +351,21 @@ class TestOrder:
         path = tmp_path / "one.net"
         path.write_text("1\n")
         assert run(["order", "--network", str(path)]) == 1
+
+    @pytest.mark.parametrize("spec", ["smallworld:2:rewire=1,2",
+                                      "smallworld:5:rewire=1,9",
+                                      "smallworld:5:rewire=2,2"])
+    def test_bad_smallworld_spec_is_usage_error(self, capsys, spec):
+        assert run(["order", "--make-network", spec]) == 2
+        assert "usage error: bad smallworld spec" in capsys.readouterr().err
+
+    def test_eigensolver_failure_is_runtime_error(self, monkeypatch, capsys):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert run(["order", "--make-network", "chain:3"]) == 1
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestPipelines:

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import epinfer
 
@@ -20,3 +22,18 @@ def test_every_root_name_is_a_module_export():
             if not name.startswith("_") and not isinstance(value, types.ModuleType)]
     assert root
     assert sorted(set(root) - exported) == []
+
+
+def test_every_import_is_used():
+    # an import that a deletion leaves behind shows up here
+    for module in MODULES:
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted(imported - used - set(module.__all__))
+        assert not unused, f"{module.__name__} imports {unused} but never uses them"

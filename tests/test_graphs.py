@@ -6,7 +6,7 @@ from epinfer import (Network, austria_network, chain_network, fiedler_ordering,
                      fiedler_vector, is_connected, laplacian, network_distance,
                      parse_network, permute_network, serialize_network,
                      smallworld_network)
-from epinfer.graphs import EigenSolverError, all_pairs, network_from_bits, pair_index
+from epinfer.graphs import all_pairs, network_from_bits, pair_index
 
 from conftest import random_network
 
@@ -92,6 +92,14 @@ class TestFiedler:
     def test_needs_two_nodes(self):
         with pytest.raises(ValueError):
             fiedler_vector(Network(1))
+
+    def test_eigensolver_failure_propagates(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            fiedler_vector(chain_network(3))
 
     @settings(max_examples=60, deadline=None)
     @given(networks)
@@ -234,3 +242,9 @@ class TestBuiltinNetworks:
     def test_smallworld_rejects_bad_rewire(self):
         with pytest.raises(ValueError):
             smallworld_network(8, 1, 1)
+
+    def test_smallworld_needs_three_nodes(self):
+        # on two nodes the next-next link of a node is a self-loop
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            smallworld_network(2, 1, 2)
+        assert smallworld_network(3, 1, 3).edges == {(0, 2), (1, 2)}

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
-from epinfer import (Network, ObservationSeries, chain_network, contrast_matrix,
-                     log_likelihood, permute_network, resample_uniform,
-                     serialize_contrast, simulate_epidemic, transition_prob_dense,
-                     transition_prob_ssa)
+from epinfer import (ModelParams, Network, ObservationSeries, chain_network,
+                     contrast_matrix, log_likelihood, permute_network,
+                     resample_uniform, serialize_contrast, simulate_epidemic,
+                     transition_prob_dense, transition_prob_ssa)
 from epinfer import forward
 from epinfer.graphs import all_pairs
 from epinfer.likelihood import _intervals, interval_probabilities
 
-from conftest import random_network
+from conftest import random_network, random_state
 
 
 def make_obs(params, net=None, t_max=50.0, tau=0.1, seed=21, x0=None):
@@ -142,6 +143,30 @@ class TestIntervalProbabilities:
         p_dense = interval_probabilities(net, params, obs, solver="dense")
         np.testing.assert_allclose(p_tt, p_dense, rtol=1e-5, atol=1e-12)
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 6), st.sampled_from(["random", "isolated", "split"]),
+           st.lists(st.sampled_from([1e-6, 0.05, 0.3, 2.0]), min_size=12,
+                    max_size=12),
+           st.integers(0, 10_000))
+    def test_tt_matches_dense_on_irregular_gaps(self, n, shape, gaps, seed):
+        # several interval lengths in one series: tt groups the intervals
+        # by (source, length), dense makes one expm per length
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, n)
+        if shape == "isolated":
+            net = Network(n, [(i, j) for i, j in net.edges if n - 1 not in (i, j)])
+        elif shape == "split":
+            half = n // 2
+            net = Network(n, [(i, j) for i, j in net.edges
+                              if (i < half) == (j < half)])
+        states = np.array([random_state(rng, n) for _ in range(len(gaps) + 1)])
+        obs = ObservationSeries(np.concatenate([[0.0], np.cumsum(gaps)]), states)
+        params = ModelParams(beta=1.0, gamma=0.5, eps=0.01)
+        p_tt = interval_probabilities(net, params, obs, solver="tt")
+        p_dense = interval_probabilities(net, params, obs, solver="dense")
+        assert np.all(np.abs(p_tt - p_dense)
+                      <= 1e-4 * np.maximum(p_dense, 1e-8))
+
     def test_node_count_mismatch(self, params):
         obs = ObservationSeries(np.array([0.0, 0.1]),
                                 np.array([[1, 0], [1, 1]], dtype=np.uint8))
@@ -239,6 +264,14 @@ class TestContrastMatrix:
     def test_requires_datasets(self, params):
         with pytest.raises(ValueError, match="dataset"):
             contrast_matrix(chain_network(3), [], params)
+
+    def test_ssa_is_not_an_objective(self, params):
+        # ssa gives -inf wherever it misses a rare transition, so the
+        # gaps would be nan
+        truth = chain_network(3)
+        obs = make_obs(params, truth, t_max=1.0)
+        with pytest.raises(ValueError, match="tt or dense"):
+            contrast_matrix(truth, [obs], params, solver="ssa")
 
     def test_serialization(self):
         matrix = np.array([[0.0, -1.5, -2.0],
