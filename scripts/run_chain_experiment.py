@@ -64,7 +64,7 @@ def main():
 
     summary = ["dataset\tproposal\tbest_log10L\tdistance"]
     for i, obs in enumerate(datasets):
-        g0 = initial_guess(initial_scores(obs), mode="threshold")
+        g0 = initial_guess(initial_scores(obs))
         for proposal in ("toggle", "norepl"):
             chain = mcmc_optimize(
                 obs, params, g0, args.neval, proposal=proposal,

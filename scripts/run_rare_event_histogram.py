@@ -46,7 +46,7 @@ def main():
     traj = simulate_epidemic(truth, params, x0, args.tmax,
                              np.random.default_rng(args.seed))
     obs = resample_uniform(traj, args.tau, args.tmax)
-    guess = initial_guess(initial_scores(obs), mode="threshold")
+    guess = initial_guess(initial_scores(obs))
     print(f"K={obs.n_intervals} intervals; initial guess has "
           f"{len(guess.edges)} links vs {len(truth.edges)} true links")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .graphs import Network
 __all__ = [
     "EventTrajectory",
     "ObservationSeries",
+    "Transitions",
     "simulate_epidemic",
     "resample_uniform",
     "parse_observations",
@@ -40,16 +42,32 @@ class EventTrajectory:
         return len(self.times)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class Transitions:
+    """Distinct work of a series' likelihood: group g, the g-th distinct
+    (source, interval) in first-seen order, is (sources[g], dts[g]); triple
+    t is group group[t] with targets[t]; interval k is triple inverse[k]."""
+
+    sources: np.ndarray
+    dts: np.ndarray
+    group: np.ndarray
+    targets: np.ndarray
+    inverse: np.ndarray
+
+
+@dataclass(frozen=True)
 class ObservationSeries:
-    """Time-ordered nodal state records; row k of states belongs to times[k]."""
+    """Time-ordered nodal state records; row k of states belongs to times[k].
+    Its arrays are read-only copies, so its cached transitions stay valid."""
 
     times: np.ndarray
     states: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=np.uint8)
+        for name, dtype in (("times", float), ("states", np.uint8)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.states.ndim != 2 or len(self.times) != len(self.states):
             raise ValueError("times and states disagree")
         if not np.isfinite(self.times).all():
@@ -66,6 +84,22 @@ class ObservationSeries:
     @property
     def n_intervals(self) -> int:
         return len(self.times) - 1
+
+    @cached_property
+    def transitions(self) -> Transitions:
+        # Gridded times give interval lengths that differ in the last ulp; at
+        # the file format's 10 significant digits equal ones share one solve.
+        dts = np.array([float(f"{dt:.10g}") for dt in np.diff(self.times)])
+        rows = [x.tobytes() for x in self.states]
+        groups, triples, inverse = {}, {}, []
+        for k, dt in enumerate(dts.tolist()):
+            g = groups.setdefault((rows[k], dt), len(groups))
+            inverse.append(triples.setdefault((g, rows[k + 1]), len(triples)))
+        group = np.array([g for g, _ in triples], dtype=int)
+        first = np.unique(inverse, return_index=True)[1]  # of each triple
+        lead = first[np.unique(group, return_index=True)[1]]  # of each group
+        return Transitions(self.states[lead], dts[lead], group,
+                           self.states[first + 1], np.array(inverse, dtype=int))
 
 
 def _check_states(net: Network, *states) -> list:

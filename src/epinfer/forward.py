@@ -54,8 +54,8 @@ _MAX_SUBSTEPS = 10_000
 
 
 class SolverAccuracyError(RuntimeError):
-    """A TT solve lost accuracy: its mass drifted beyond _MASS_TOL, or a
-    computed probability is negative beyond roundoff tolerance."""
+    """A TT solve lost accuracy: its mass drifted beyond _MASS_TOL, a rounding
+    failed, or a computed probability is negative beyond roundoff tolerance."""
 
 
 class SubstepLimitError(RuntimeError):
@@ -81,19 +81,13 @@ def _poisson_weights(lam, tail_tol):
     return np.array(weights)
 
 
-def _assert_finite(p: TTVector):
-    for core in p.cores:
-        if not np.isfinite(core).all():
-            raise FloatingPointError("non-finite values in evolved state")
-
-
 def evolve_tt(gen: CPOperator, p0: TTVector, dt) -> TTVector:
     """Propagate a TT probability vector by exp(gen * dt).
 
     The input must be a probability vector (entries summing to 1 within
     1e-8); the output is not renormalized, so its mass deficit measures
-    the accumulated truncation error.  A deficit above _MASS_TOL raises
-    SolverAccuracyError.
+    the accumulated truncation error.  A deficit above _MASS_TOL or NaN, or a
+    failed rounding (as on a non-finite entry), raises SolverAccuracyError.
     """
     if not 0 <= dt < math.inf:
         raise ValueError(f"dt must be finite and nonnegative, got {dt}")
@@ -101,7 +95,7 @@ def evolve_tt(gen: CPOperator, p0: TTVector, dt) -> TTVector:
         raise ValueError("generator and state site counts differ")
     shifted = gen.uniformized  # raises when gen has no exit-rate bound
     mass = tt_inner(p0, tt_ones(p0.n_sites))
-    if abs(mass - 1.0) > 1e-8:
+    if not abs(mass - 1.0) <= 1e-8:
         raise ValueError(f"initial state mass {mass} is not 1")
     if dt == 0:
         return TTVector([c.copy() for c in p0.cores])
@@ -117,17 +111,18 @@ def evolve_tt(gen: CPOperator, p0: TTVector, dt) -> TTVector:
     tol_app = _ABS_ACC / n_apply
 
     p = p0
-    for _ in range(n_sub):
-        # Horner's rule: sum_k w_k B^k p = w_0 p + B(w_1 p + B(w_2 p + ...)),
-        # one application and one rounding per Poisson term
-        acc = tt_scale(p, weights[-1])
-        for w in weights[-2::-1]:
-            acc = tt_round(tt_add(cp_apply(shifted, acc), tt_scale(p, w)), tol_app)
-            _assert_finite(acc)
-        p = acc
-    _assert_finite(p)
+    try:
+        for _ in range(n_sub):
+            # Horner's rule: sum_k w_k B^k p = w_0 p + B(w_1 p + B(w_2 p + ...)),
+            # one application and one rounding per Poisson term
+            acc = tt_scale(p, weights[-1])
+            for w in weights[-2::-1]:
+                acc = tt_round(tt_add(cp_apply(shifted, acc), tt_scale(p, w)), tol_app)
+            p = acc
+    except np.linalg.LinAlgError as exc:
+        raise SolverAccuracyError(f"rounding failed over dt={dt}: {exc}") from exc
     deficit = abs(mass - tt_inner(p, tt_ones(p.n_sites)))
-    if deficit > _MASS_TOL:
+    if not deficit <= _MASS_TOL:
         raise SolverAccuracyError(
             f"mass deficit {deficit:.3g} after evolving over dt={dt} exceeds {_MASS_TOL:g}")
     return p

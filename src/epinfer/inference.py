@@ -18,7 +18,7 @@ from .datagen import ObservationSeries
 from .forward import SolverAccuracyError, SubstepLimitError
 from .generator import ModelParams
 from .graphs import Network, all_pairs, network_distance
-from .likelihood import log_likelihood
+from .likelihood import EXACT_SOLVERS, log_likelihood
 
 __all__ = [
     "ChainRecord",
@@ -60,14 +60,11 @@ def initial_scores(obs: ObservationSeries) -> np.ndarray:
     return h
 
 
-def initial_guess(scores, mode="threshold") -> Network:
-    """Network from the score matrix.
+def initial_guess(scores) -> Network:
+    """Network of the pairs whose score is at least the mean pair score.
 
-    The one mode, threshold, keeps pairs whose score is at least the mean
-    pair score.  All-zero scores give the empty network.
+    All-zero scores give the empty network.
     """
-    if mode != "threshold":
-        raise ValueError(f"unknown mode {mode!r}")
     scores = np.asarray(scores)
     n = scores.shape[0]
     pairs = all_pairs(n)
@@ -160,10 +157,10 @@ def maximize_loglike(loglike_fn, g0: Network, n_eval, proposal="toggle",
 
     Runs n_eval proposal steps from g0: each proposal is accepted when a
     uniform draw is below min(ratio, 1).  Values are cached per edge set,
-    since rejected chains revisit networks.  On a solver error
-    (SolverAccuracyError, SubstepLimitError, FloatingPointError) the chain
-    stops and returns the partial result with aborted set; any other
-    exception propagates.
+    since rejected chains revisit networks.  A solver error
+    (SolverAccuracyError, SubstepLimitError) while evaluating a proposal
+    stops the chain, which returns the partial result with aborted set.
+    Any error while evaluating g0, and any other exception, propagates.
     """
     if n_eval < 1:
         raise ValueError("n_eval must be >= 1")
@@ -194,8 +191,7 @@ def maximize_loglike(loglike_fn, g0: Network, n_eval, proposal="toggle",
         candidate, _ = proposer.propose(current)
         try:
             candidate_ll = evaluate(candidate)
-        except (SolverAccuracyError, SubstepLimitError,
-                FloatingPointError) as exc:  # keep partial results
+        except (SolverAccuracyError, SubstepLimitError) as exc:  # keep partial results
             aborted = True
             error = f"{type(exc).__name__}: {exc}"
             break
@@ -219,8 +215,8 @@ def mcmc_optimize(obs: ObservationSeries, params: ModelParams, g0: Network,
     The solver is tt or dense: an ssa likelihood is -inf wherever sampling
     misses a rare transition, so it cannot rank candidate networks.
     """
-    if solver not in ("tt", "dense"):
-        raise ValueError(f"mcmc solver must be tt or dense, got {solver!r}")
+    if solver not in EXACT_SOLVERS:
+        raise ValueError(f"mcmc solver {solver!r} is not {' or '.join(EXACT_SOLVERS)}")
 
     def objective(net):
         return log_likelihood(net, params, obs, solver).log_like

@@ -1,13 +1,13 @@
 """Data log-likelihood of a candidate network, and contrast diagnostics.
 
 The likelihood factorizes over observation intervals by the Markov
-property, so each factor is a single transition probability.  Repeated
-(source state, interval length) combinations are solved once: the TT path
-evolves, and the ssa path samples, each distinct source a single time and
-reads off every needed target; the dense path computes one matrix
-exponential per distinct interval length (dense_propagator, the exact
-small-system oracle).  A single TT or dense transition probability runs
-the same path on one (source, target, interval) triple.
+property, so each factor is a single transition probability.  Each solver
+in SOLVERS fills the distinct (source, target, interval) triples of a
+series compiled once (ObservationSeries.transitions): the TT path evolves,
+and the ssa path samples, each distinct (source, interval) a single time;
+the dense path computes one matrix exponential per distinct interval
+(dense_propagator, the exact small-system oracle).  A single TT or dense
+transition probability runs the same path on one triple.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .datagen import ObservationSeries, _check_states
+from .datagen import ObservationSeries, Transitions, _check_states
 from .forward import SolverAccuracyError, _ssa_endpoints, evolve_tt
 from .generator import ModelParams, build_generator_cp, build_generator_dense
 from .graphs import Network, all_pairs, fiedler_ordering, permute_network
@@ -28,6 +28,8 @@ from .tt import tt_element, unit_state_tt
 
 __all__ = [
     "PROB_FLOOR",
+    "SOLVERS",
+    "EXACT_SOLVERS",
     "LikelihoodReport",
     "dense_propagator",
     "transition_prob_dense",
@@ -43,8 +45,6 @@ __all__ = [
 PROB_FLOOR = 1e-300
 # TT entries this far below zero indicate solver failure, not roundoff.
 _NEGATIVE_TOL = 1e-8
-
-_SOLVERS = ("tt", "dense", "ssa")
 
 
 @dataclass
@@ -66,58 +66,38 @@ class LikelihoodReport:
         return self.log_like / math.log(10.0)
 
 
-def _round_dt(dt) -> float:
-    # Interval lengths computed from gridded times differ in the last ulp;
-    # collapsing to 10 significant digits (the serialization precision)
-    # lets equal intervals share one solve.
-    return float(f"{dt:.10g}")
-
-
-def _intervals(obs: ObservationSeries):
-    if obs.n_intervals < 1:
-        raise ValueError("need at least 2 records for a likelihood")
-    dts = [_round_dt(t1 - t0) for t0, t1 in zip(obs.times[:-1], obs.times[1:])]
-    return dts
-
-
-def _groups(sources, dts) -> dict:
-    """Interval indices of each distinct (source bytes, dt), in first-seen order."""
-    groups = {}
-    for k, dt in enumerate(dts):
-        groups.setdefault((sources[k].tobytes(), dt), []).append(k)
-    return groups
-
-
-def _probs_tt(net, params, sources, targets, dts):
-    """TT probability of each (sources[k] -> targets[k] over dts[k]).
+def _probs_tt(net, params, transitions):
+    """TT probability of every distinct triple, one evolve per group.
 
     The generator and the states are permuted by the Fiedler ordering of
     the network, which keeps TT ranks low for weakly coupled node groups.
     """
     order = fiedler_ordering(net) if net.n_nodes >= 2 else np.arange(net.n_nodes)
-    pnet = permute_network(net, order)
-    gen = build_generator_cp(pnet, params)
-    sources = np.asarray(sources, dtype=np.uint8)[:, order]
-    targets = np.asarray(targets, dtype=np.uint8)[:, order]
-    probs = np.empty(len(dts))
-    for (src_bytes, dt), members in _groups(sources, dts).items():
-        src = np.frombuffer(src_bytes, dtype=np.uint8)
-        evolved = evolve_tt(gen, unit_state_tt(src), dt)
-        for k in members:
-            value = tt_element(evolved, targets[k])
+    gen = build_generator_cp(permute_network(net, order), params)
+    tr = transitions
+    probs = np.empty(len(tr.targets))
+    for g, (src, dt) in enumerate(zip(tr.sources, tr.dts.tolist())):
+        evolved = evolve_tt(gen, unit_state_tt(src[order]), dt)
+        for t in np.flatnonzero(tr.group == g):
+            value = tt_element(evolved, tr.targets[t, order])
             if value < -_NEGATIVE_TOL:
                 raise SolverAccuracyError(
-                    f"interval {k}: probability {value} below -{_NEGATIVE_TOL}")
-            probs[k] = min(max(value, 0.0), 1.0)
+                    f"{src} -> {tr.targets[t]}: probability {value} below -{_NEGATIVE_TOL}")
+            probs[t] = min(max(value, 0.0), 1.0)
     return probs
+
+
+def _one_triple(net, x_a, x_b, dt) -> Transitions:
+    x_a, x_b = _check_states(net, x_a, x_b)
+    zero = np.zeros(1, dtype=int)
+    return Transitions(x_a[None], np.array([float(dt)]), zero, x_b[None], zero)
 
 
 def transition_prob_tt(net: Network, params: ModelParams, x_a, x_b, dt) -> float:
     """Probability of moving from state x_a to x_b over dt, TT path."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    x_a, x_b = _check_states(net, x_a, x_b)
-    return float(_probs_tt(net, params, [x_a], [x_b], [dt])[0])
+    return float(_probs_tt(net, params, _one_triple(net, x_a, x_b, dt))[0])
 
 
 def dense_propagator(net: Network, params: ModelParams, dt) -> np.ndarray:
@@ -127,64 +107,68 @@ def dense_propagator(net: Network, params: ModelParams, dt) -> np.ndarray:
     return scipy.linalg.expm(build_generator_dense(net, params) * dt)
 
 
-def _probs_dense(net, params, sources, targets, dts):
-    """Dense probability of each (sources[k] -> targets[k] over dts[k]).
+def _probs_dense(net, params, transitions):
+    """Dense probability of every distinct triple.
 
     One matrix exponential per distinct interval length.  A propagator
     viewed as a (2,)*2N tensor is indexed by the target bits, then the
     source bits, in the big-endian state order of the generator.
     """
-    sources, targets = np.asarray(sources), np.asarray(targets)
-    dts = np.asarray(dts)
+    tr = transitions
+    sources, dts = tr.sources[tr.group], tr.dts[tr.group]
     probs = np.empty(len(dts))
-    for dt in set(dts.tolist()):
+    for dt in set(tr.dts.tolist()):
         rows = dts == dt
         prop = dense_propagator(net, params, dt).reshape((2,) * (2 * net.n_nodes))
-        probs[rows] = prop[(*targets[rows].T, *sources[rows].T)]
+        probs[rows] = prop[(*tr.targets[rows].T, *sources[rows].T)]
     return np.maximum(probs, 0.0)
 
 
 def transition_prob_dense(net: Network, params: ModelParams, x_a, x_b, dt) -> float:
     """Probability of moving from state x_a to x_b over dt, dense oracle."""
-    x_a, x_b = _check_states(net, x_a, x_b)
-    return float(_probs_dense(net, params, [x_a], [x_b], [dt])[0])
+    return float(_probs_dense(net, params, _one_triple(net, x_a, x_b, dt))[0])
 
 
-def _probs_ssa(net, params, sources, targets, dts, n_ssa, seed):
-    """ssa frequency of each (sources[k] -> targets[k] over dts[k]).
+def _probs_ssa(net, params, transitions, n_ssa, seed):
+    """ssa frequency of every distinct triple.
 
-    n_ssa trajectories per distinct (source, dt), shared by every interval
-    of that group.  Group g draws from the stream [seed, g], so results do
-    not depend on how the groups are evaluated.
+    n_ssa trajectories per group, shared by every triple of that group.
+    Group g draws from the stream [seed, g], so results do not depend on
+    how the groups are evaluated.
     """
     if seed is None:
         raise ValueError("ssa solver needs a seed")
     if n_ssa < 1:
         raise ValueError(f"n_ssa must be >= 1, got {n_ssa}")
-    probs = np.empty(len(dts))
-    for g, ((src_bytes, dt), members) in enumerate(_groups(sources, dts).items()):
-        src = np.frombuffer(src_bytes, dtype=np.uint8)
+    tr = transitions
+    probs = np.empty(len(tr.targets))
+    for g, (src, dt) in enumerate(zip(tr.sources, tr.dts.tolist())):
         ends = _ssa_endpoints(net, params, src, dt, n_ssa,
                               np.random.default_rng([seed, g]))
-        for k in members:
-            probs[k] = np.count_nonzero((ends == targets[k]).all(axis=1)) / n_ssa
+        for t in np.flatnonzero(tr.group == g):
+            probs[t] = np.count_nonzero((ends == tr.targets[t]).all(axis=1)) / n_ssa
     return probs
+
+
+# Each maps (net, params, transitions) to the probability of every triple.
+# Only an exact solver's likelihood can rank networks.
+EXACT_SOLVERS = {"tt": _probs_tt, "dense": _probs_dense}
+SOLVERS = {**EXACT_SOLVERS, "ssa": _probs_ssa}
 
 
 def interval_probabilities(net: Network, params: ModelParams,
                            obs: ObservationSeries, solver="tt", n_ssa=1000,
                            ssa_seed=None) -> np.ndarray:
     """Raw transition probability of every observation interval."""
-    if solver not in _SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}, expected one of {_SOLVERS}")
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}, expected one of {tuple(SOLVERS)}")
     if net.n_nodes != obs.n_nodes:
         raise ValueError("network and observations disagree on node count")
-    sources, targets, dts = obs.states[:-1], obs.states[1:], _intervals(obs)
-    if solver == "tt":
-        return _probs_tt(net, params, sources, targets, dts)
-    if solver == "dense":
-        return _probs_dense(net, params, sources, targets, dts)
-    return _probs_ssa(net, params, sources, targets, dts, n_ssa, ssa_seed)
+    if obs.n_intervals < 1:
+        raise ValueError("need at least 2 records for a likelihood")
+    sampling = () if solver in EXACT_SOLVERS else (n_ssa, ssa_seed)
+    tr = obs.transitions
+    return SOLVERS[solver](net, params, tr, *sampling)[tr.inverse]
 
 
 def log_likelihood(net: Network, params: ModelParams, obs: ObservationSeries,
@@ -196,14 +180,14 @@ def log_likelihood(net: Network, params: ModelParams, obs: ObservationSeries,
     likelihood rather than floored.
     """
     probs = interval_probabilities(net, params, obs, solver, n_ssa, ssa_seed)
-    if solver == "ssa":
+    if solver in EXACT_SOLVERS:
+        n_floored = int(np.count_nonzero(probs < PROB_FLOOR))
+        per_interval = np.log10(np.maximum(probs, PROB_FLOOR))
+    else:
         per_interval = np.full(len(probs), -np.inf)
         positive = probs > 0
         per_interval[positive] = np.log10(probs[positive])
         n_floored = 0
-    else:
-        n_floored = int(np.count_nonzero(probs < PROB_FLOOR))
-        per_interval = np.log10(np.maximum(probs, PROB_FLOOR))
     log_like = math.log(10.0) * float(np.sum(per_interval))
     return LikelihoodReport(log_like=log_like, per_interval=per_interval,
                             n_floored=n_floored, solver_used=solver)
@@ -231,8 +215,8 @@ def contrast_matrix(truth: Network, datasets, params: ModelParams,
     misses a rare transition, and the gaps would be nan.  jobs > 1 spreads
     the datasets over worker processes; the result does not depend on it.
     """
-    if solver not in ("tt", "dense"):
-        raise ValueError(f"contrast solver must be tt or dense, got {solver!r}")
+    if solver not in EXACT_SOLVERS:
+        raise ValueError(f"contrast solver {solver!r} is not {' or '.join(EXACT_SOLVERS)}")
     datasets = list(datasets)
     if not datasets:
         raise ValueError("need at least one dataset")

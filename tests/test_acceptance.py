@@ -139,7 +139,7 @@ def test_criterion_5_inference_recovery():
         seed = 1000 + i
         truth, obs = make_chain_obs(5, 100.0, seed=seed)
         assert obs.n_intervals == 1000
-        g0 = initial_guess(initial_scores(obs), mode="threshold")
+        g0 = initial_guess(initial_scores(obs))
         chain = mcmc_optimize(obs, PAPER_PARAMS, g0, 200, proposal="norepl",
                               solver="tt", rng=np.random.default_rng(seed + 500),
                               reference=truth)

@@ -1,8 +1,11 @@
+import argparse
+
 import numpy as np
 import pytest
 
 from epinfer import chain_network, parse_network, parse_observations, serialize_network
-from epinfer.cli import main
+from epinfer.cli import build_parser, main
+from epinfer.likelihood import EXACT_SOLVERS, SOLVERS
 
 
 def run(argv):
@@ -213,6 +216,30 @@ class TestCounts:
                  "--jobs", "2"])
         assert exc.value.code == 2
         assert not (tmp_path / "sim").exists()
+
+
+class TestSolverChoices:
+    def test_choices_are_the_library_solvers(self):
+        (sub,) = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        choices = {command: list(action.choices)
+                   for command, parser in sub.choices.items()
+                   for action in parser._actions if action.dest == "solver"}
+        assert choices == {"likelihood": list(SOLVERS),
+                           "infer": list(EXACT_SOLVERS),
+                           "contrast": list(EXACT_SOLVERS)}
+
+    @pytest.mark.parametrize("command", ["infer", "contrast"])
+    def test_unknown_solver_exits_2(self, tmp_path, chain5_file, small_dataset,
+                                    command):
+        argv = {"infer": ["infer", "--obs", str(small_dataset), "--seed", "1",
+                          "--out", str(tmp_path / "run")],
+                "contrast": ["contrast", "--truth", str(chain5_file), "--obs-dir",
+                             str(small_dataset.parent), "--out",
+                             str(tmp_path / "c.tsv")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--solver", "bogus"])
+        assert exc.value.code == 2
 
 
 class TestInfer:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,19 @@ class TestObservationSeries:
             ObservationSeries(np.array([0.0, 1.0]),
                               np.full((2, 3), 2, dtype=np.uint8))
 
+
+    def test_is_read_only(self):
+        # the compiled transitions are cached, so the series cannot change
+        times, states = np.array([0.0, 1.0]), np.zeros((2, 3), dtype=np.uint8)
+        obs = ObservationSeries(times, states)
+        states[0, 0] = 1
+        assert obs.states[0, 0] == 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obs.times = np.array([0.0, 2.0])
+        with pytest.raises(ValueError, match="read-only"):
+            obs.states[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            obs.times[1] = 2.0
 
 class TestObservationFiles:
     def test_parse_example(self):

@@ -140,6 +140,15 @@ class TestEvolveTT:
         with pytest.raises(SolverAccuracyError, match="mass deficit"):
             evolve_tt(gen, unit_state_tt([1, 0, 0, 0]), 0.1)
 
+    @pytest.mark.parametrize("dt", [0.0, 0.1])
+    def test_nan_initial_state_raises(self, params, dt):
+        # abs(nan - 1) > tol is False: the mass check must fail on NaN
+        gen = build_generator_cp(chain_network(3), params)
+        p0 = unit_state_tt([1, 0, 0])
+        p0.cores[1][0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="initial state mass nan"):
+            evolve_tt(gen, p0, dt)
+
     def test_uniformized_operator_built_once_per_generator(self, params,
                                                             monkeypatch):
         gen = build_generator_cp(chain_network(4), params)

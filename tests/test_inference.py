@@ -51,22 +51,18 @@ class TestInitialScores:
 class TestInitialGuess:
     def test_uniform_scores_give_complete_graph(self):
         h = np.ones((4, 4)) - np.eye(4)
-        net = initial_guess(h, mode="threshold")
+        net = initial_guess(h)
         assert len(net.edges) == 6
 
     def test_single_dominant_pair(self):
         h = np.zeros((4, 4))
         h[0, 1] = h[1, 0] = 1.0
-        net = initial_guess(h, mode="threshold")
+        net = initial_guess(h)
         assert net.edges == frozenset({(0, 1)})
 
     def test_zero_scores_give_empty_network(self):
         h = np.zeros((4, 4))
-        assert initial_guess(h, mode="threshold").edges == frozenset()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown mode 'sample'"):
-            initial_guess(np.ones((3, 3)), mode="sample")
+        assert initial_guess(h).edges == frozenset()
 
 
 class TestProposals:
@@ -270,6 +266,48 @@ class TestMaximizeLoglike:
         assert chain.aborted
         assert chain.error.startswith("SolverAccuracyError: mass deficit")
         assert len(chain.samples) == 1
+
+    @pytest.mark.parametrize("fault", ["nan", "bug"])
+    def test_tt_fault_after_g0(self, params, monkeypatch, fault):
+        # a NaN in a TT solve aborts the chain; a programming error propagates
+        obs = obs_from_states([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+        original, applied, armed = forward.cp_apply, [], []
+
+        def faulty(op, p):
+            out = original(op, p)
+            if armed:
+                applied.append(out)
+            if len(applied) == 3:
+                if fault == "bug":
+                    raise TypeError("bug")
+                out.cores[-1][0, 0, 0] = np.nan
+            return out
+
+        def loglike(net):
+            value = log_likelihood(net, params, obs, solver="tt").log_like
+            armed.append(net)
+            return value
+
+        monkeypatch.setattr(forward, "cp_apply", faulty)
+        if fault == "bug":
+            with pytest.raises(TypeError, match="bug"):
+                maximize_loglike(loglike, Network(3), 20, "norepl",
+                                 np.random.default_rng(15))
+            return
+        chain = maximize_loglike(loglike, Network(3), 20, "norepl",
+                                 np.random.default_rng(15))
+        assert chain.aborted
+        assert chain.error.startswith("SolverAccuracyError: rounding failed")
+        assert len(chain.samples) == 1
+
+    def test_solver_error_at_g0_propagates(self):
+        # there is no partial result before g0 is scored
+        def loglike(net):
+            raise SolverAccuracyError("boom at g0")
+
+        with pytest.raises(SolverAccuracyError, match="boom at g0"):
+            maximize_loglike(loglike, Network(3), 5, "norepl",
+                             np.random.default_rng(15))
 
     def test_programming_error_propagates(self):
         def loglike(net):

@@ -7,12 +7,13 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from epinfer import (ModelParams, Network, ObservationSeries, chain_network,
-                     contrast_matrix, log_likelihood, permute_network,
-                     resample_uniform, serialize_contrast, simulate_epidemic,
-                     transition_prob_dense, transition_prob_ssa)
-from epinfer import forward
+                     contrast_matrix, log_likelihood, mcmc_optimize,
+                     permute_network, resample_uniform, serialize_contrast,
+                     simulate_epidemic, transition_prob_dense,
+                     transition_prob_ssa, transition_prob_tt)
+from epinfer import datagen, forward
 from epinfer.graphs import all_pairs
-from epinfer.likelihood import _intervals, interval_probabilities
+from epinfer.likelihood import SOLVERS, interval_probabilities
 
 from conftest import random_network, random_state
 
@@ -24,6 +25,20 @@ def make_obs(params, net=None, t_max=50.0, tau=0.1, seed=21, x0=None):
         x0[0] = 1
     traj = simulate_epidemic(net, params, x0, t_max, np.random.default_rng(seed))
     return resample_uniform(traj, tau, t_max)
+
+
+def rounded_dts(obs):
+    """Interval lengths at the 10 significant digits of the file format."""
+    return [float(f"{dt:.10g}") for dt in np.diff(obs.times)]
+
+
+def triples(obs):
+    """Intervals of each distinct (source, target, rounded dt)."""
+    out = {}
+    for k, dt in enumerate(rounded_dts(obs)):
+        key = (obs.states[k].tobytes(), obs.states[k + 1].tobytes(), dt)
+        out.setdefault(key, []).append(k)
+    return out
 
 
 class TestLogLikelihood:
@@ -174,6 +189,62 @@ class TestIntervalProbabilities:
             interval_probabilities(chain_network(3), params, obs, solver="dense")
 
 
+class TestTransitions:
+    """A series is compiled once into its distinct groups and triples."""
+
+    def test_each_group_and_triple_appears_once(self, params):
+        # grid times differ in the last ulp, and a gap of 0.3 joins them
+        obs = make_obs(params, chain_network(4), t_max=5.0, seed=62)
+        obs = ObservationSeries(np.append(obs.times, obs.times[-1] + 0.3),
+                                np.vstack([obs.states, obs.states[-1]]))
+        tr = obs.transitions
+        groups = list(zip(map(bytes, tr.sources), tr.dts.tolist()))
+        keys = [(*groups[g], bytes(x)) for g, x in zip(tr.group, tr.targets)]
+        assert len(set(groups)) == len(groups)
+        assert len(set(keys)) == len(keys) == len(triples(obs)) < obs.n_intervals
+        assert len(tr.inverse) == obs.n_intervals
+        firsts = {}
+        for k, dt in enumerate(rounded_dts(obs)):
+            src, tgt = obs.states[k].tobytes(), obs.states[k + 1].tobytes()
+            source, length, target = keys[tr.inverse[k]]
+            assert (source, target, length) == (src, tgt, dt)
+            firsts.setdefault((src, dt), len(firsts))
+        # groups are numbered in first-seen order, the ssa stream order
+        assert list(firsts) == groups
+
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_every_interval_takes_its_triples_value(self, params, solver):
+        net = chain_network(4)
+        obs = make_obs(params, net, t_max=3.0, seed=63)
+        probs = interval_probabilities(net, params, obs, solver, n_ssa=50,
+                                       ssa_seed=64)
+        exact = {"tt": transition_prob_tt, "dense": transition_prob_dense}
+        for (src, tgt, dt), members in triples(obs).items():
+            assert np.all(probs[members] == probs[members[0]])
+            if solver in exact:
+                value = exact[solver](net, params, np.frombuffer(src, np.uint8),
+                                      np.frombuffer(tgt, np.uint8), dt)
+                assert probs[members[0]] == pytest.approx(value, rel=1e-12)
+
+    def test_compiled_once_per_series(self, params, monkeypatch):
+        compiled = []
+        original = datagen.Transitions
+
+        def counted(*fields):
+            compiled.append(fields[-1])
+            return original(*fields)
+
+        monkeypatch.setattr(datagen, "Transitions", counted)
+        truth = chain_network(3)
+        a, b = (make_obs(params, truth, t_max=3.0, seed=s) for s in (70, 71))
+        mcmc_optimize(a, params, Network(3), 10, proposal="norepl",
+                      solver="dense", rng=np.random.default_rng(1))
+        assert len(compiled) == 1
+        contrast_matrix(truth, [a, b], params, solver="tt")
+        assert len(compiled) == 2
+        assert compiled[1] is b.transitions.inverse
+
+
 class TestSSAGroups:
     """The ssa path samples once per distinct (source, dt), like tt evolves."""
 
@@ -182,7 +253,7 @@ class TestSSAGroups:
         obs = make_obs(params, net, t_max=3.0, seed=63)
         probs = interval_probabilities(net, params, obs, solver="ssa", n_ssa=50,
                                        ssa_seed=64)
-        dts = _intervals(obs)
+        dts = rounded_dts(obs)
         groups = {}
         for k in range(obs.n_intervals):
             groups.setdefault((obs.states[k].tobytes(), dts[k]), []).append(k)
@@ -209,7 +280,7 @@ class TestSSAGroups:
 
         monkeypatch.setattr(forward, "_jump_events", counted)
         log_likelihood(net, params, obs, solver="ssa", n_ssa=20, ssa_seed=1)
-        dts = _intervals(obs)
+        dts = rounded_dts(obs)
         n_groups = len({(obs.states[k].tobytes(), dts[k])
                         for k in range(obs.n_intervals)})
         assert n_groups < obs.n_intervals
