@@ -242,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=EXACT_SOLVERS, default="tt")
     p.add_argument("--out", required=True, help="output TSV file")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, one dataset each; pays for tt, not "
-                        "for dense, whose BLAS already uses every core")
+                   help="worker processes, one dataset each; each starts in "
+                        "about 1 s, so it pays once a dataset takes longer")
     p.set_defaults(func=cmd_contrast)
 
     p = sub.add_parser("order", help="Fiedler value and node ordering")

@@ -77,6 +77,11 @@ class ObservationSeries:
         if not np.isin(self.states, (0, 1)).all():
             raise ValueError("states must be binary")
 
+    def __reduce__(self):
+        # unpickling rebuilds the series, so a copy sent to a worker process
+        # is read-only too; its transitions are compiled again on first use
+        return ObservationSeries, (self.times, self.states)
+
     @property
     def n_nodes(self) -> int:
         return self.states.shape[1]

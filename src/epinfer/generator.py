@@ -68,8 +68,12 @@ def reaction_rates(x, net: Network, params: ModelParams) -> np.ndarray:
     x may also be a stack of states, one per row; the result then has one
     row of rates per state.
     """
+    return _flip_rates(x, net.adjacency, params)
+
+
+def _flip_rates(x, adjacency, params: ModelParams) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    n_infected = x @ net.adjacency
+    n_infected = x @ adjacency
     return np.where(x == 1.0, params.gamma, params.eps + params.beta * n_infected)
 
 
@@ -116,13 +120,14 @@ def build_generator_cp(net: Network, params: ModelParams) -> CPOperator:
     return CPOperator(terms, exit_rate_bound=exit_rate_bound(net, params))
 
 
-def build_generator_dense(net: Network, params: ModelParams) -> np.ndarray:
-    """Dense generator built by enumerating every state's reaction rates.
+def _rate_triplets(net: Network, params: ModelParams):
+    """Off-diagonal generator entries as COO triplets (rows, cols, rates).
 
-    reaction_rates gives node n's flip rate out of each of the 2^N
-    big-endian states k, and that rate is the entry a[k ^ bit_n, k].
-    Independent of the Kronecker construction on purpose: it serves as the
-    oracle the factored form is checked against.
+    The rates are those of reaction_rates on the 2^N big-endian states,
+    from an adjacency matrix the network does not cache: node n's flip
+    rate out of state k is the entry a[k ^ bit_n, k].  Each array has shape
+    (2^N, N), row k for source state k; every rate is positive, since gamma
+    and eps are.
     """
     n_sites = net.n_nodes
     if n_sites > MAX_DENSE_MATRIX_SITES:
@@ -130,7 +135,20 @@ def build_generator_dense(net: Network, params: ModelParams) -> np.ndarray:
             f"refusing dense generator for N={n_sites} > {MAX_DENSE_MATRIX_SITES}")
     src = np.arange(1 << n_sites)[:, None]
     bits = 1 << np.arange(n_sites - 1, -1, -1)
-    a = np.zeros((len(src), len(src)))
-    a[src ^ bits, src] = reaction_rates((src & bits) > 0, net, params)
+    rates = _flip_rates((src & bits) > 0, net._adjacency_matrix(), params)
+    return src ^ bits, np.broadcast_to(src, rates.shape), rates
+
+
+def build_generator_dense(net: Network, params: ModelParams) -> np.ndarray:
+    """Dense generator built by enumerating every state's reaction rates.
+
+    Its off-diagonal entries are the triplets of _rate_triplets, and each
+    diagonal entry makes its column sum to zero.  Independent of the
+    Kronecker construction on purpose: it serves as the oracle the factored
+    form is checked against.
+    """
+    rows, cols, rates = _rate_triplets(net, params)
+    a = np.zeros((len(rates), len(rates)))
+    a[rows, cols] = rates
     np.fill_diagonal(a, -a.sum(axis=0))
     return a

@@ -4,10 +4,14 @@ The likelihood factorizes over observation intervals by the Markov
 property, so each factor is a single transition probability.  Each solver
 in SOLVERS fills the distinct (source, target, interval) triples of a
 series compiled once (ObservationSeries.transitions): the TT path evolves,
-and the ssa path samples, each distinct (source, interval) a single time;
-the dense path computes one matrix exponential per distinct interval
-(dense_propagator, the exact small-system oracle).  A single TT or dense
-transition probability runs the same path on one triple.
+and the ssa path samples, each distinct (source, interval) a single time.
+The dense path is exact: per distinct interval it propagates all of that
+interval's sources together as one block, by uniformization on the sparse
+generator, or reads them from the full matrix exponential where a
+flop-count rule finds that cheaper.  The matrix exponential
+(dense_propagator) is the exact small-system oracle, and a single dense
+transition probability is one of its entries; a single TT transition
+probability runs the TT path on one triple.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ import numpy as np
 import scipy.linalg
 
 from .datagen import ObservationSeries, Transitions, _check_states
-from .forward import SolverAccuracyError, _ssa_endpoints, evolve_tt
-from .generator import ModelParams, build_generator_cp, build_generator_dense
+from .forward import SolverAccuracyError, _poisson_weights, _ssa_endpoints, evolve_tt
+from .generator import (ModelParams, _rate_triplets, build_generator_cp,
+                        build_generator_dense, exit_rate_bound)
 from .graphs import Network, all_pairs, fiedler_ordering, permute_network
 from .tt import tt_element, unit_state_tt
 
@@ -45,21 +50,47 @@ __all__ = [
 PROB_FLOOR = 1e-300
 # TT entries this far below zero indicate solver failure, not roundoff.
 _NEGATIVE_TOL = 1e-8
+# Largest uniformization rate L*dt of one block substep: e^-700 is still a
+# normal double, so the Poisson weights keep their relative accuracy.
+_MAX_SUBSTEP_RATE = 700.0
+# Cost rule between a block solve and a full expm for one interval length,
+# in units of one stored entry of B times one column of a sparse product
+# (about 0.3 ns).  Calibrated on a 2-core x86 host (OpenBLAS 0.3.31, scipy
+# 1.17): a CSR product costs about 3.5 us beyond its entries; an expm of
+# size n costs about 0.3-0.6 ns per n^3, and a fixed 8 ms in the default
+# environment, where its solve waits on the BLAS threads (10 us with one).
+_PRODUCT_COST = 12_000
+_EXPM_COST_PER_CUBE = 1.5
+_EXPM_COST = 27_000_000
 
 
-@dataclass
+@dataclass(slots=True)
 class LikelihoodReport:
     """Log-likelihood of one network against one observation series.
 
-    log_like is the natural-log value (-inf when an SSA factor was zero);
-    per_interval holds the log10 of each interval probability, matching
-    the reporting convention of the histograms and traces.
+    log_like is the natural-log value (-inf when an SSA factor was zero).
+    per_triple holds the log10 probability of each distinct (source,
+    target, interval) triple of the series, and inverse (the series' own
+    transitions.inverse, shared, not copied) the triple of each interval;
+    per_interval expands them to one log10 probability per interval,
+    matching the reporting convention of the histograms and traces.
+    Assigning per_interval replaces both.
     """
 
     log_like: float
-    per_interval: np.ndarray
+    per_triple: np.ndarray
+    inverse: np.ndarray
     n_floored: int
     solver_used: str
+
+    @property
+    def per_interval(self) -> np.ndarray:
+        return self.per_triple[self.inverse]
+
+    @per_interval.setter
+    def per_interval(self, values):
+        self.per_triple = np.asarray(values, dtype=float)
+        self.inverse = np.arange(len(self.per_triple))
 
     @property
     def log10_like(self) -> float:
@@ -87,17 +118,14 @@ def _probs_tt(net, params, transitions):
     return probs
 
 
-def _one_triple(net, x_a, x_b, dt) -> Transitions:
-    x_a, x_b = _check_states(net, x_a, x_b)
-    zero = np.zeros(1, dtype=int)
-    return Transitions(x_a[None], np.array([float(dt)]), zero, x_b[None], zero)
-
-
 def transition_prob_tt(net: Network, params: ModelParams, x_a, x_b, dt) -> float:
     """Probability of moving from state x_a to x_b over dt, TT path."""
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    return float(_probs_tt(net, params, _one_triple(net, x_a, x_b, dt))[0])
+    x_a, x_b = _check_states(net, x_a, x_b)
+    zero = np.zeros(1, dtype=int)
+    one = Transitions(x_a[None], np.array([float(dt)]), zero, x_b[None], zero)
+    return float(_probs_tt(net, params, one)[0])
 
 
 def dense_propagator(net: Network, params: ModelParams, dt) -> np.ndarray:
@@ -107,26 +135,83 @@ def dense_propagator(net: Network, params: ModelParams, dt) -> np.ndarray:
     return scipy.linalg.expm(build_generator_dense(net, params) * dt)
 
 
-def _probs_dense(net, params, transitions):
-    """Dense probability of every distinct triple.
+def _state_index(states) -> np.ndarray:
+    """Big-endian index of each row of states, the generator's state order."""
+    return states @ (1 << np.arange(states.shape[-1] - 1, -1, -1))
 
-    One matrix exponential per distinct interval length.  A propagator
-    viewed as a (2,)*2N tensor is indexed by the target bits, then the
-    source bits, in the big-endian state order of the generator.
+
+def _uniformized_csr(net, params):
+    """B = I + A/L in CSR form, with L = exit_rate_bound.
+
+    B is nonnegative, since L bounds every exit rate, so its powers sum
+    without cancellation: roundoff stays relative to each entry.
+    """
+    # imported on first use: at module level it would add about 10 ms and
+    # 1.4 MB to the start-up of every command
+    import scipy.sparse
+
+    rows, cols, rates = _rate_triplets(net, params)
+    bound = exit_rate_bound(net, params)
+    diag = np.arange(len(rates))
+    data = np.concatenate([(rates / bound).ravel(), 1.0 - rates.sum(axis=1) / bound])
+    coords = (np.concatenate([rows.ravel(), diag]), np.concatenate([cols.ravel(), diag]))
+    return scipy.sparse.csr_array((data, coords), shape=(len(rates),) * 2), bound
+
+
+def _propagate_block(shifted, weights, n_sub, columns):
+    """exp(A*dt) applied to the unit vectors of the given states, one column each.
+
+    Each of the n_sub substeps sums w_0 X + w_1 B X + ... + w_K B^K X by
+    Horner's rule, one sparse product per Poisson term.
+    """
+    block = np.zeros((shifted.shape[0], len(columns)))
+    block[columns, np.arange(len(columns))] = 1.0
+    for _ in range(n_sub):
+        acc = weights[-1] * block
+        for w in weights[-2::-1]:
+            acc = shifted @ acc
+            acc += w * block
+        block = acc
+    return block
+
+
+def _probs_dense(net, params, transitions):
+    """Exact probability of every distinct triple.
+
+    Per distinct interval length dt, the sources of that length are
+    propagated together as one (2^N x S) block by uniformization, or, where
+    the cost rule finds it cheaper, read from the full exp(A*dt).  The
+    block's Poisson series is summed to double resolution.
     """
     tr = transitions
-    sources, dts = tr.sources[tr.group], tr.dts[tr.group]
-    probs = np.empty(len(dts))
+    sources, targets = _state_index(tr.sources), _state_index(tr.targets)
+    n_states = 1 << net.n_nodes
+    column = np.empty(len(tr.dts), dtype=int)  # of each group, in its dt's block
+    probs = np.empty(len(tr.targets))
+    shifted, bound = _uniformized_csr(net, params)
     for dt in set(tr.dts.tolist()):
-        rows = dts == dt
-        prop = dense_propagator(net, params, dt).reshape((2,) * (2 * net.n_nodes))
-        probs[rows] = prop[(*tr.targets[rows].T, *sources[rows].T)]
+        groups = np.flatnonzero(tr.dts == dt)
+        rate = bound * dt
+        n_sub = max(1, math.ceil(rate / _MAX_SUBSTEP_RATE))
+        weights = _poisson_weights(rate / n_sub, 0.0)
+        block_cost = n_sub * (len(weights) - 1) * (shifted.nnz * len(groups) + _PRODUCT_COST)
+        if block_cost > _EXPM_COST_PER_CUBE * n_states ** 3 + _EXPM_COST:
+            block = dense_propagator(net, params, dt)
+            column[groups] = sources[groups]
+        else:
+            block = _propagate_block(shifted, weights, n_sub, sources[groups])
+            column[groups] = np.arange(len(groups))
+        rows = np.isin(tr.group, groups)
+        probs[rows] = block[targets[rows], column[tr.group[rows]]]
     return np.maximum(probs, 0.0)
 
 
 def transition_prob_dense(net: Network, params: ModelParams, x_a, x_b, dt) -> float:
-    """Probability of moving from state x_a to x_b over dt, dense oracle."""
-    return float(_probs_dense(net, params, _one_triple(net, x_a, x_b, dt))[0])
+    """Probability of moving from state x_a to x_b over dt, dense oracle:
+    an entry of dense_propagator."""
+    x_a, x_b = _check_states(net, x_a, x_b)
+    prop = dense_propagator(net, params, dt)
+    return float(max(prop[_state_index(x_b), _state_index(x_a)], 0.0))
 
 
 def _probs_ssa(net, params, transitions, n_ssa, seed):
@@ -156,10 +241,8 @@ EXACT_SOLVERS = {"tt": _probs_tt, "dense": _probs_dense}
 SOLVERS = {**EXACT_SOLVERS, "ssa": _probs_ssa}
 
 
-def interval_probabilities(net: Network, params: ModelParams,
-                           obs: ObservationSeries, solver="tt", n_ssa=1000,
-                           ssa_seed=None) -> np.ndarray:
-    """Raw transition probability of every observation interval."""
+def _triple_probabilities(net, params, obs, solver, n_ssa, ssa_seed) -> np.ndarray:
+    """Raw transition probability of every distinct triple of obs."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}, expected one of {tuple(SOLVERS)}")
     if net.n_nodes != obs.n_nodes:
@@ -167,8 +250,15 @@ def interval_probabilities(net: Network, params: ModelParams,
     if obs.n_intervals < 1:
         raise ValueError("need at least 2 records for a likelihood")
     sampling = () if solver in EXACT_SOLVERS else (n_ssa, ssa_seed)
-    tr = obs.transitions
-    return SOLVERS[solver](net, params, tr, *sampling)[tr.inverse]
+    return SOLVERS[solver](net, params, obs.transitions, *sampling)
+
+
+def interval_probabilities(net: Network, params: ModelParams,
+                           obs: ObservationSeries, solver="tt", n_ssa=1000,
+                           ssa_seed=None) -> np.ndarray:
+    """Raw transition probability of every observation interval."""
+    probs = _triple_probabilities(net, params, obs, solver, n_ssa, ssa_seed)
+    return probs[obs.transitions.inverse]
 
 
 def log_likelihood(net: Network, params: ModelParams, obs: ObservationSeries,
@@ -179,17 +269,20 @@ def log_likelihood(net: Network, params: ModelParams, obs: ObservationSeries,
     an SSA factor of exactly zero is reported as an unresolved -inf
     likelihood rather than floored.
     """
-    probs = interval_probabilities(net, params, obs, solver, n_ssa, ssa_seed)
+    probs = _triple_probabilities(net, params, obs, solver, n_ssa, ssa_seed)
+    inverse = obs.transitions.inverse
     if solver in EXACT_SOLVERS:
-        n_floored = int(np.count_nonzero(probs < PROB_FLOOR))
-        per_interval = np.log10(np.maximum(probs, PROB_FLOOR))
+        n_floored = int(np.count_nonzero(probs[inverse] < PROB_FLOOR))
+        per_triple = np.log10(np.maximum(probs, PROB_FLOOR))
     else:
-        per_interval = np.full(len(probs), -np.inf)
+        per_triple = np.full(len(probs), -np.inf)
         positive = probs > 0
-        per_interval[positive] = np.log10(probs[positive])
+        per_triple[positive] = np.log10(probs[positive])
         n_floored = 0
-    log_like = math.log(10.0) * float(np.sum(per_interval))
-    return LikelihoodReport(log_like=log_like, per_interval=per_interval,
+    # summed over the intervals in order, so equal probabilities give an
+    # equal log_like whatever the triples
+    log_like = math.log(10.0) * float(np.sum(per_triple[inverse]))
+    return LikelihoodReport(log_like=log_like, per_triple=per_triple, inverse=inverse,
                             n_floored=n_floored, solver_used=solver)
 
 

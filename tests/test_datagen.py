@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -203,6 +204,20 @@ class TestObservationSeries:
             obs.states[0, 0] = 1
         with pytest.raises(ValueError, match="read-only"):
             obs.times[1] = 2.0
+
+    def test_stays_read_only_through_pickling(self, params):
+        # a series reaches contrast_matrix's worker processes pickled
+        traj = simulate_epidemic(chain_network(3), params, [1, 0, 0], 5.0,
+                                 np.random.default_rng(3))
+        obs = resample_uniform(traj, 0.1, 5.0)
+        copy = pickle.loads(pickle.dumps(obs))
+        assert not copy.times.flags.writeable
+        assert not copy.states.flags.writeable
+        np.testing.assert_array_equal(copy.states, obs.states)
+        for field in dataclasses.fields(obs.transitions):
+            np.testing.assert_array_equal(getattr(copy.transitions, field.name),
+                                          getattr(obs.transitions, field.name))
+
 
 class TestObservationFiles:
     def test_parse_example(self):

@@ -37,3 +37,18 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(imported - used - set(module.__all__))
         assert not unused, f"{module.__name__} imports {unused} but never uses them"
+
+
+def test_one_matrix_exponential():
+    # dense_propagator is the one exact oracle; solvers that need entries of
+    # exp(A*dt) for a few sources propagate those columns instead
+    calls = []
+    for module in MODULES:
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "expm":
+                    calls.append(module.__name__)
+    assert calls == ["epinfer.likelihood"]

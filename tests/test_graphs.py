@@ -38,6 +38,21 @@ class TestNetwork:
         pair = (0, 3)
         assert net.with_edge_toggled(pair).with_edge_toggled(pair) == net
 
+    def test_toggle_flips_one_bit(self):
+        net = chain_network(5)
+        child = net.with_edge_toggled((4, 0))
+        assert child.edge_bits == net.edge_bits ^ 1 << pair_index(0, 4, 5)
+        assert child == Network(5, [*net.edges, (0, 4)])
+        assert hash(child) == hash(Network(5, [*net.edges, (0, 4)]))
+        assert child.with_edge_toggled((1, 2)) == Network(5, [(0, 1), (2, 3), (3, 4), (0, 4)])
+        assert repr(Network(3, [(2, 0)])) == "Network(n_nodes=3, edges=frozenset({(0, 2)}))"
+
+    def test_toggle_rejects_bad_pairs(self):
+        with pytest.raises(ValueError, match="self-loop on node 2"):
+            chain_network(3).with_edge_toggled((2, 2))
+        with pytest.raises(ValueError, match=r"edge \(1, 3\) out of range for 3 nodes"):
+            chain_network(3).with_edge_toggled((3, 1))
+
     def test_edge_bits_round_trip(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -11,11 +11,11 @@ from epinfer import (ModelParams, Network, ObservationSeries, chain_network,
                      permute_network, resample_uniform, serialize_contrast,
                      simulate_epidemic, transition_prob_dense,
                      transition_prob_ssa, transition_prob_tt)
-from epinfer import datagen, forward
+from epinfer import datagen, dense_propagator, forward, likelihood
 from epinfer.graphs import all_pairs
 from epinfer.likelihood import SOLVERS, interval_probabilities
 
-from conftest import random_network, random_state
+from conftest import index_state, random_network, random_state
 
 
 def make_obs(params, net=None, t_max=50.0, tau=0.1, seed=21, x0=None):
@@ -30,6 +30,17 @@ def make_obs(params, net=None, t_max=50.0, tau=0.1, seed=21, x0=None):
 def rounded_dts(obs):
     """Interval lengths at the 10 significant digits of the file format."""
     return [float(f"{dt:.10g}") for dt in np.diff(obs.times)]
+
+
+def shaped_network(rng, n, shape):
+    """A random network, with node n-1 isolated or split into two halves."""
+    net = random_network(rng, n)
+    if shape == "isolated":
+        return Network(n, [(i, j) for i, j in net.edges if n - 1 not in (i, j)])
+    if shape == "split":
+        half = n // 2
+        return Network(n, [(i, j) for i, j in net.edges if (i < half) == (j < half)])
+    return net
 
 
 def triples(obs):
@@ -88,6 +99,26 @@ class TestLogLikelihood:
             math.log(10.0) * rep.per_interval.sum(), rel=1e-12)
         assert rep.n_floored <= obs.n_intervals
         assert rep.solver_used == "dense"
+
+    def test_report_holds_one_value_per_triple(self, params):
+        net = chain_network(4)
+        obs = make_obs(params, net, t_max=100.0)
+        tr = obs.transitions
+        rep = log_likelihood(net, params, obs, solver="dense")
+        assert rep.per_triple.shape == tr.group.shape
+        assert 4 * len(tr.group) < obs.n_intervals
+        assert rep.inverse is tr.inverse
+        expanded = np.log10(interval_probabilities(net, params, obs, solver="dense"))
+        np.testing.assert_array_equal(rep.per_interval, expanded)
+        assert rep.log_like == math.log(10.0) * float(np.sum(expanded))
+
+    def test_per_interval_is_assignable(self, params):
+        net = chain_network(3)
+        obs = make_obs(params, net, t_max=2.0)
+        rep = log_likelihood(net, params, obs, solver="dense")
+        shifted = rep.per_interval + 1.0
+        rep.per_interval = shifted
+        np.testing.assert_array_equal(rep.per_interval, shifted)
 
     def test_permutation_invariance(self, params):
         rng = np.random.default_rng(60)
@@ -165,15 +196,9 @@ class TestIntervalProbabilities:
            st.integers(0, 10_000))
     def test_tt_matches_dense_on_irregular_gaps(self, n, shape, gaps, seed):
         # several interval lengths in one series: tt groups the intervals
-        # by (source, length), dense makes one expm per length
+        # by (source, length), dense propagates one block per length
         rng = np.random.default_rng(seed)
-        net = random_network(rng, n)
-        if shape == "isolated":
-            net = Network(n, [(i, j) for i, j in net.edges if n - 1 not in (i, j)])
-        elif shape == "split":
-            half = n // 2
-            net = Network(n, [(i, j) for i, j in net.edges
-                              if (i < half) == (j < half)])
+        net = shaped_network(rng, n, shape)
         states = np.array([random_state(rng, n) for _ in range(len(gaps) + 1)])
         obs = ObservationSeries(np.concatenate([[0.0], np.cumsum(gaps)]), states)
         params = ModelParams(beta=1.0, gamma=0.5, eps=0.01)
@@ -187,6 +212,76 @@ class TestIntervalProbabilities:
                                 np.array([[1, 0], [1, 1]], dtype=np.uint8))
         with pytest.raises(ValueError, match="node count"):
             interval_probabilities(chain_network(3), params, obs, solver="dense")
+
+
+class TestDenseBlock:
+    """The dense solver's block path against the matrix exponential."""
+
+    # A gap this long costs more sparse products than one expm at every N
+    # below, so it takes the expm side of the cost rule.
+    LONG_GAP = 1e4
+
+    @staticmethod
+    def every_target(net, sources, dts) -> datagen.Transitions:
+        """One group per (source, dt), with a triple for every target state."""
+        n_states = 1 << net.n_nodes
+        targets = np.array([index_state(k, net.n_nodes) for k in range(n_states)])
+        groups = [(x, dt) for dt in dts for x in sources]
+        group = np.repeat(np.arange(len(groups)), n_states)
+        return datagen.Transitions(np.array([x for x, _ in groups]),
+                                   np.array([dt for _, dt in groups]), group,
+                                   np.tile(targets, (len(groups), 1)),
+                                   np.arange(len(group)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 8), st.sampled_from(["random", "isolated", "split"]),
+           st.integers(0, 10_000))
+    def test_matches_expm_on_random_networks(self, n, shape, seed):
+        rng = np.random.default_rng(seed)
+        net = shaped_network(rng, n, shape)
+        params = ModelParams(beta=1.0, gamma=0.5, eps=0.01)
+        sources = [np.zeros(n, np.uint8), np.ones(n, np.uint8), random_state(rng, n)]
+        dts = [1e-6, 0.05, 0.3, 2.0, self.LONG_GAP]
+        tr = self.every_target(net, sources, dts)
+        probs = likelihood._probs_dense(net, params, tr).reshape(len(dts), len(sources), -1)
+        for d, dt in enumerate(dts):
+            prop = dense_propagator(net, params, dt)
+            for s, x in enumerate(sources):
+                p, q = probs[d, s], prop[:, likelihood._state_index(x)]
+                assert np.all(np.abs(p - q) <= 1e-13)
+                # the block sums nonnegative terms, so small entries stay
+                # accurate relative to themselves; 1e-16 allows for expm's
+                # own absolute roundoff
+                small = q < 1e-8
+                assert np.all(np.abs(p - q)[small] <= 1e-6 * q[small] + 1e-16)
+
+    def test_each_side_of_the_cost_rule_is_taken(self, params, monkeypatch):
+        expm_dts, block_sizes = [], []
+        original_expm, original_block = dense_propagator, likelihood._propagate_block
+
+        def counted_expm(net, params, dt):
+            expm_dts.append(dt)
+            return original_expm(net, params, dt)
+
+        def counted_block(shifted, weights, n_sub, columns):
+            block_sizes.append(len(columns))
+            return original_block(shifted, weights, n_sub, columns)
+
+        monkeypatch.setattr(likelihood, "dense_propagator", counted_expm)
+        monkeypatch.setattr(likelihood, "_propagate_block", counted_block)
+        net = chain_network(3)
+        times = np.cumsum([0.0, 0.1, 0.1, self.LONG_GAP, 0.1])
+        states = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+                          dtype=np.uint8)
+        obs = ObservationSeries(times, states)
+        probs = interval_probabilities(net, params, obs, solver="dense")
+        assert expm_dts == [self.LONG_GAP]
+        assert block_sizes == [3]
+        monkeypatch.undo()
+        for k, dt in enumerate(rounded_dts(obs)):
+            expected = dense_propagator(net, params, dt)[
+                likelihood._state_index(states[k + 1]), likelihood._state_index(states[k])]
+            assert probs[k] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 class TestTransitions:
