@@ -127,8 +127,9 @@ def _jump_events(net: Network, params: ModelParams, x, t_max, rng):
     crosses t_max is the last one taken.
     """
     t = 0.0
+    adjacency = net.adjacency
     while True:
-        rates = reaction_rates(x, net, params)
+        rates = reaction_rates(x, adjacency, params)
         total = rates.sum()
         t += -math.log(rng.random()) / total
         if t >= t_max:

@@ -62,16 +62,13 @@ class ModelParams:
             raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
-def reaction_rates(x, net: Network, params: ModelParams) -> np.ndarray:
+def reaction_rates(x, adjacency, params: ModelParams) -> np.ndarray:
     """Per-node flip rates out of state x (recovery or infection).
 
-    x may also be a stack of states, one per row; the result then has one
-    row of rates per state.
+    adjacency is the network's 0/1 adjacency matrix (Network.adjacency,
+    built once by callers that need many rates).  x may also be a stack of
+    states, one per row; the result then has one row of rates per state.
     """
-    return _flip_rates(x, net.adjacency, params)
-
-
-def _flip_rates(x, adjacency, params: ModelParams) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n_infected = x @ adjacency
     return np.where(x == 1.0, params.gamma, params.eps + params.beta * n_infected)
@@ -123,11 +120,10 @@ def build_generator_cp(net: Network, params: ModelParams) -> CPOperator:
 def _rate_triplets(net: Network, params: ModelParams):
     """Off-diagonal generator entries as COO triplets (rows, cols, rates).
 
-    The rates are those of reaction_rates on the 2^N big-endian states,
-    from an adjacency matrix the network does not cache: node n's flip
-    rate out of state k is the entry a[k ^ bit_n, k].  Each array has shape
-    (2^N, N), row k for source state k; every rate is positive, since gamma
-    and eps are.
+    The rates are those of reaction_rates on the 2^N big-endian states:
+    node n's flip rate out of state k is the entry a[k ^ bit_n, k].  Each
+    array has shape (2^N, N), row k for source state k; every rate is
+    positive, since gamma and eps are.
     """
     n_sites = net.n_nodes
     if n_sites > MAX_DENSE_MATRIX_SITES:
@@ -135,7 +131,7 @@ def _rate_triplets(net: Network, params: ModelParams):
             f"refusing dense generator for N={n_sites} > {MAX_DENSE_MATRIX_SITES}")
     src = np.arange(1 << n_sites)[:, None]
     bits = 1 << np.arange(n_sites - 1, -1, -1)
-    rates = _flip_rates((src & bits) > 0, net._adjacency_matrix(), params)
+    rates = reaction_rates((src & bits) > 0, net.adjacency, params)
     return src ^ bits, np.broadcast_to(src, rates.shape), rates
 
 

@@ -34,51 +34,24 @@ __all__ = [
 class Network:
     """Undirected simple graph on ``n_nodes`` labelled nodes.
 
-    The edge set is held as one integer, edge_bits, with bit k set for the
-    k-th pair of all_pairs; ``edges`` unpacks it into a frozenset of
-    ``(i, j)`` tuples with ``i < j``, and any iterable of pairs is
-    normalized on construction.  Instances are immutable and hashable, so
-    they can key caches directly, and small: MCMC and contrast keep many
-    candidate networks alive.
+    Edges are held as a frozenset of ``(i, j)`` tuples with ``i < j``; any
+    iterable of pairs is normalized on construction.  Instances are
+    immutable and hashable, so they can key caches directly.  They hold no
+    arrays: MCMC and contrast keep many candidate networks alive.
     """
 
     n_nodes: int
-    edge_bits: int
+    edges: frozenset
 
     def __init__(self, n_nodes, edges=()):
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
+        normalized = {_edge_key(m, n, n_nodes) for m, n in edges}
         object.__setattr__(self, "n_nodes", int(n_nodes))
-        bits = 0
-        for pair in edges:
-            bits |= self._bit(pair)
-        object.__setattr__(self, "edge_bits", bits)
-
-    def _bit(self, pair) -> int:
-        """The edge_bits bit of pair; a self-loop or out-of-range pair raises."""
-        m, n = (int(v) for v in pair)
-        if m == n:
-            raise ValueError(f"self-loop on node {m}")
-        if not (0 <= m < self.n_nodes and 0 <= n < self.n_nodes):
-            raise ValueError(f"edge ({m}, {n}) out of range for {self.n_nodes} nodes")
-        return 1 << pair_index(m, n, self.n_nodes)
-
-    def __repr__(self) -> str:
-        return f"Network(n_nodes={self.n_nodes}, edges={self.edges!r})"
+        object.__setattr__(self, "edges", frozenset(normalized))
 
     @property
-    def edges(self) -> frozenset:
-        bits = self.edge_bits
-        return frozenset(p for k, p in enumerate(all_pairs(self.n_nodes)) if bits >> k & 1)
-
-    @cached_property
     def adjacency(self) -> np.ndarray:
-        """0/1 adjacency matrix, cached: the Gillespie kernel reads it at
-        every event.  Likelihoods use an uncached one (_adjacency_matrix),
-        so the many candidate networks of a search hold no arrays."""
-        return self._adjacency_matrix()
-
-    def _adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_nodes, self.n_nodes))
         for i, j in self.edges:
             a[i, j] = 1.0
@@ -87,22 +60,44 @@ class Network:
 
     @property
     def degrees(self) -> np.ndarray:
-        ends = np.array(list(self.edges), dtype=int).ravel()
-        return np.bincount(ends, minlength=self.n_nodes)
+        return self.adjacency.sum(axis=1).astype(int)
+
+    @cached_property
+    def edge_bits(self) -> int:
+        """Edge set packed into an integer, one bit per pair from all_pairs."""
+        bits = 0
+        for i, j in self.edges:
+            bits |= 1 << pair_index(i, j, self.n_nodes)
+        return bits
 
     def neighbors(self, node) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[node])
+        return np.array(sorted(j if i == node else i for i, j in self.edges
+                               if node in (i, j)), dtype=int)
 
     def has_edge(self, pair) -> bool:
         m, n = pair
         return (min(m, n), max(m, n)) in self.edges
 
     def with_edge_toggled(self, pair) -> "Network":
-        """This network with pair added or removed."""
+        """This network with pair added or removed; the other edges are
+        this network's own tuples, not normalized again."""
+        m, n = pair
+        key = _edge_key(min(m, n), max(m, n), self.n_nodes)
         child = object.__new__(Network)
         object.__setattr__(child, "n_nodes", self.n_nodes)
-        object.__setattr__(child, "edge_bits", self.edge_bits ^ self._bit(sorted(pair)))
+        object.__setattr__(child, "edges", self.edges ^ {key})
         return child
+
+
+def _edge_key(m, n, n_nodes) -> tuple:
+    """The pair (m, n) as (i, j) with i < j; a self-loop or a node out of
+    range raises."""
+    m, n = int(m), int(n)
+    if m == n:
+        raise ValueError(f"self-loop on node {m}")
+    if not (0 <= m < n_nodes and 0 <= n < n_nodes):
+        raise ValueError(f"edge ({m}, {n}) out of range for {n_nodes} nodes")
+    return (min(m, n), max(m, n))
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +182,7 @@ def network_distance(a: Network, b: Network) -> int:
     """Number of pairs joined in exactly one of the two networks."""
     if a.n_nodes != b.n_nodes:
         raise ValueError(f"node counts differ: {a.n_nodes} vs {b.n_nodes}")
-    return (a.edge_bits ^ b.edge_bits).bit_count()
+    return len(a.edges ^ b.edges)
 
 
 def is_connected(net: Network) -> bool:

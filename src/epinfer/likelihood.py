@@ -7,8 +7,8 @@ series compiled once (ObservationSeries.transitions): the TT path evolves,
 and the ssa path samples, each distinct (source, interval) a single time.
 The dense path is exact: per distinct interval it propagates all of that
 interval's sources together as one block, by uniformization on the sparse
-generator, or reads them from the full matrix exponential where a
-flop-count rule finds that cheaper.  The matrix exponential
+generator, or reads them from the full matrix exponential where the
+interval is too long for one uniformization series.  The matrix exponential
 (dense_propagator) is the exact small-system oracle, and a single dense
 transition probability is one of its entries; a single TT transition
 probability runs the TT path on one triple.
@@ -50,18 +50,13 @@ __all__ = [
 PROB_FLOOR = 1e-300
 # TT entries this far below zero indicate solver failure, not roundoff.
 _NEGATIVE_TOL = 1e-8
-# Largest uniformization rate L*dt of one block substep: e^-700 is still a
-# normal double, so the Poisson weights keep their relative accuracy.
-_MAX_SUBSTEP_RATE = 700.0
-# Cost rule between a block solve and a full expm for one interval length,
-# in units of one stored entry of B times one column of a sparse product
-# (about 0.3 ns).  Calibrated on a 2-core x86 host (OpenBLAS 0.3.31, scipy
-# 1.17): a CSR product costs about 3.5 us beyond its entries; an expm of
-# size n costs about 0.3-0.6 ns per n^3, and a fixed 8 ms in the default
-# environment, where its solve waits on the BLAS threads (10 us with one).
-_PRODUCT_COST = 12_000
-_EXPM_COST_PER_CUBE = 1.5
-_EXPM_COST = 27_000_000
+# Largest uniformization rate L*dt of a block solve: e^-700 is still a
+# normal double, so one series of Poisson weights keeps its relative
+# accuracy.  A longer interval reads its sources from the full exp(A*dt).
+_MAX_BLOCK_RATE = 700.0
+# Double resolution, the relative size below which the block series drops
+# its remaining terms.
+_RESOLUTION = 2.0 ** -53
 
 
 @dataclass(slots=True)
@@ -158,50 +153,66 @@ def _uniformized_csr(net, params):
     return scipy.sparse.csr_array((data, coords), shape=(len(rates),) * 2), bound
 
 
-def _propagate_block(shifted, weights, n_sub, columns):
+def _block_weights(rate, distance):
+    """Poisson weights e^-rate rate^k / k! of a block solve.
+
+    The series runs to double resolution of 1, as on the TT path.  A
+    target d flips away from its source gets nothing before the d-th term,
+    so where distance (the largest such d) lies past the weights' mode, as
+    on a short gap, the series runs on until the terms after the d-th sum
+    below double resolution of it.
+    """
+    weights = list(_poisson_weights(rate, 0.0))
+    if distance > rate:
+        while True:
+            k = len(weights)
+            # past the mode the terms shrink at least geometrically, by
+            # rate/k, so the tail after the last term is below this
+            if k > distance and (weights[-1] * rate / (k - rate)
+                                 <= _RESOLUTION * weights[distance]):
+                break
+            weights.append(weights[-1] * rate / k)
+    return np.array(weights)
+
+
+def _propagate_block(shifted, weights, columns):
     """exp(A*dt) applied to the unit vectors of the given states, one column each.
 
-    Each of the n_sub substeps sums w_0 X + w_1 B X + ... + w_K B^K X by
-    Horner's rule, one sparse product per Poisson term.
+    Sums w_0 X + w_1 B X + ... + w_K B^K X by Horner's rule, one sparse
+    product per Poisson term.
     """
     block = np.zeros((shifted.shape[0], len(columns)))
     block[columns, np.arange(len(columns))] = 1.0
-    for _ in range(n_sub):
-        acc = weights[-1] * block
-        for w in weights[-2::-1]:
-            acc = shifted @ acc
-            acc += w * block
-        block = acc
-    return block
+    acc = weights[-1] * block
+    for w in weights[-2::-1]:
+        acc = shifted @ acc
+        acc += w * block
+    return acc
 
 
 def _probs_dense(net, params, transitions):
     """Exact probability of every distinct triple.
 
     Per distinct interval length dt, the sources of that length are
-    propagated together as one (2^N x S) block by uniformization, or, where
-    the cost rule finds it cheaper, read from the full exp(A*dt).  The
-    block's Poisson series is summed to double resolution.
+    propagated together as one (2^N x S) block by uniformization, or read
+    from the full exp(A*dt) where L*dt exceeds _MAX_BLOCK_RATE.
     """
     tr = transitions
     sources, targets = _state_index(tr.sources), _state_index(tr.targets)
-    n_states = 1 << net.n_nodes
+    flips = np.count_nonzero(tr.sources[tr.group] != tr.targets, axis=1)  # of each triple
     column = np.empty(len(tr.dts), dtype=int)  # of each group, in its dt's block
     probs = np.empty(len(tr.targets))
     shifted, bound = _uniformized_csr(net, params)
     for dt in set(tr.dts.tolist()):
         groups = np.flatnonzero(tr.dts == dt)
-        rate = bound * dt
-        n_sub = max(1, math.ceil(rate / _MAX_SUBSTEP_RATE))
-        weights = _poisson_weights(rate / n_sub, 0.0)
-        block_cost = n_sub * (len(weights) - 1) * (shifted.nnz * len(groups) + _PRODUCT_COST)
-        if block_cost > _EXPM_COST_PER_CUBE * n_states ** 3 + _EXPM_COST:
+        rows = np.isin(tr.group, groups)
+        if bound * dt > _MAX_BLOCK_RATE:
             block = dense_propagator(net, params, dt)
             column[groups] = sources[groups]
         else:
-            block = _propagate_block(shifted, weights, n_sub, sources[groups])
+            weights = _block_weights(bound * dt, int(flips[rows].max()))
+            block = _propagate_block(shifted, weights, sources[groups])
             column[groups] = np.arange(len(groups))
-        rows = np.isin(tr.group, groups)
         probs[rows] = block[targets[rows], column[tr.group[rows]]]
     return np.maximum(probs, 0.0)
 

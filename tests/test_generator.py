@@ -75,7 +75,7 @@ class TestReactionRates:
         for _ in range(20):
             net = random_network(rng, 5)
             x = rng.integers(0, 2, size=5).astype(np.uint8)
-            rates = reaction_rates(x, net, params)
+            rates = reaction_rates(x, net.adjacency, params)
             for n in range(5):
                 y = x.copy()
                 y[n] ^= 1
@@ -85,10 +85,10 @@ class TestReactionRates:
         rng = np.random.default_rng(19)
         net = random_network(rng, 6)
         states = rng.integers(0, 2, size=(40, 6)).astype(np.uint8)
-        stacked = reaction_rates(states, net, params)
+        stacked = reaction_rates(states, net.adjacency, params)
         assert stacked.shape == states.shape
         for x, row in zip(states, stacked):
-            assert row.tobytes() == reaction_rates(x, net, params).tobytes()
+            assert row.tobytes() == reaction_rates(x, net.adjacency, params).tobytes()
 
 
 class TestGeneratorCp:

@@ -217,8 +217,8 @@ class TestIntervalProbabilities:
 class TestDenseBlock:
     """The dense solver's block path against the matrix exponential."""
 
-    # A gap this long costs more sparse products than one expm at every N
-    # below, so it takes the expm side of the cost rule.
+    # L*dt beyond the largest block rate at every N below, so a gap this
+    # long is read from the full matrix exponential.
     LONG_GAP = 1e4
 
     @staticmethod
@@ -249,13 +249,48 @@ class TestDenseBlock:
             for s, x in enumerate(sources):
                 p, q = probs[d, s], prop[:, likelihood._state_index(x)]
                 assert np.all(np.abs(p - q) <= 1e-13)
-                # the block sums nonnegative terms, so small entries stay
-                # accurate relative to themselves; 1e-16 allows for expm's
-                # own absolute roundoff
+                # 1e-16 allows for expm's own absolute roundoff; the relative
+                # accuracy of the smallest entries is tested against the
+                # block series itself, below
                 small = q < 1e-8
                 assert np.all(np.abs(p - q)[small] <= 1e-6 * q[small] + 1e-16)
 
-    def test_each_side_of_the_cost_rule_is_taken(self, params, monkeypatch):
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 8), st.sampled_from(["random", "isolated", "split"]),
+           st.sampled_from([1e-6, 0.05, 0.3]), st.integers(0, 10_000))
+    def test_far_targets_keep_relative_accuracy(self, n, shape, dt, seed):
+        # on a short gap a target k flips away is of order (L*dt)^k; the
+        # block series must not stop before its first term, nor before the
+        # terms after it are negligible next to it.  A series 40 terms
+        # longer than the solver's is the reference, with no absolute slack
+        # (1500 random cases of this test read at most 4e-13).
+        rng = np.random.default_rng(seed)
+        net = shaped_network(rng, n, shape)
+        params = ModelParams(beta=1.0, gamma=0.5, eps=0.01)
+        sources = [np.zeros(n, np.uint8), np.ones(n, np.uint8), random_state(rng, n)]
+        probs = likelihood._probs_dense(net, params, self.every_target(net, sources, [dt]))
+        shifted, bound = likelihood._uniformized_csr(net, params)
+        weights = list(likelihood._block_weights(bound * dt, n))
+        for k in range(len(weights), len(weights) + 40):
+            weights.append(weights[-1] * bound * dt / k)
+        columns = likelihood._state_index(np.array(sources))
+        reference = likelihood._propagate_block(shifted, np.array(weights), columns)
+        assert np.all(probs > 0)
+        np.testing.assert_allclose(probs, reference.T.ravel(), rtol=1e-11, atol=0)
+
+    def test_targets_past_the_plain_series_are_resolved(self, params):
+        # at L*dt near 1e-5 the series summed to double resolution of 1 has
+        # 4 terms; a target all 8 nodes away needs its 8th
+        net = chain_network(8)
+        dt = 1e-5 / likelihood.exit_rate_bound(net, params)
+        assert len(forward._poisson_weights(1e-5, 0.0)) == 4
+        x, y = np.zeros(8, np.uint8), np.ones(8, np.uint8)
+        tr = datagen.Transitions(x[None], np.array([dt]), np.zeros(1, int), y[None],
+                                 np.zeros(1, int))
+        prob = likelihood._probs_dense(net, params, tr)[0]
+        assert 0 < prob < 1e-40
+
+    def test_each_side_of_the_block_rate_is_taken(self, params, monkeypatch):
         expm_dts, block_sizes = [], []
         original_expm, original_block = dense_propagator, likelihood._propagate_block
 
@@ -263,9 +298,9 @@ class TestDenseBlock:
             expm_dts.append(dt)
             return original_expm(net, params, dt)
 
-        def counted_block(shifted, weights, n_sub, columns):
+        def counted_block(shifted, weights, columns):
             block_sizes.append(len(columns))
-            return original_block(shifted, weights, n_sub, columns)
+            return original_block(shifted, weights, columns)
 
         monkeypatch.setattr(likelihood, "dense_propagator", counted_expm)
         monkeypatch.setattr(likelihood, "_propagate_block", counted_block)
