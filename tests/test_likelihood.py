@@ -278,6 +278,18 @@ class TestDenseBlock:
         assert np.all(probs > 0)
         np.testing.assert_allclose(probs, reference.T.ravel(), rtol=1e-11, atol=0)
 
+    @pytest.mark.parametrize("n, n_sources, width", [
+        (4, 3, 16), (9, 1, 256), (9, 179, 256), (9, 256, 256), (9, 257, 512)])
+    def test_block_runs_in_whole_panels(self, params, n, n_sources, width):
+        # a solve's sparse products have as many columns on every series
+        # that visits up to one panel of distinct states
+        shifted, bound = likelihood._uniformized_csr(chain_network(n), params)
+        weights = likelihood._block_weights(bound * 0.1, 1)
+        block = likelihood._propagate_block(shifted, weights, np.arange(n_sources))
+        assert block.base.shape == (2, 1 << n, width)
+        assert block.shape == (1 << n, n_sources)
+        np.testing.assert_allclose(block.sum(axis=0), 1.0, rtol=1e-14)
+
     def test_each_side_of_the_block_rate_is_taken(self, params, monkeypatch):
         expm_dts, block_sizes = [], []
         original_expm, original_block = dense_propagator, likelihood._propagate_block
