@@ -9,10 +9,11 @@
 Uniformization writes exp(A*dt) p as a Poisson-weighted power series of
 the shifted stochastic matrix B = I + A/L, where L bounds every total exit
 rate; B and its MPO are built once per generator (CPOperator.uniformized).
-dt is split so each substep has L*dt <= 1, and the series is truncated once
-its Poisson tail is negligible.  Each substep sums w_0 p + w_1 B p + ... +
-w_K B^K p by Horner's rule: from w_K p, it K times applies B, adds the next
-lower term and re-compresses, one application and one rounding per term.
+dt is split into the fewest substeps of L*dt <= _MAX_SERIES_RATE, and each
+substep's series is cut by _poisson_weights, as the dense solver's is.
+Each substep sums w_0 p + w_1 B p + ... + w_K B^K p by Horner's rule: from
+w_K p, it K times applies B, adds the next lower term and re-compresses,
+one application and one rounding per term.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ _TAIL_ABS = 1e-14
 # leaves a margin of about 370x and still flags a solve whose roundings
 # lost real probability.
 _MASS_TOL = 1e-10
-# Uniformization substeps one evolve may take; beyond this the interval is
-# too long for the solver to finish in reasonable time.
+# Largest uniformization rate L*dt of one Poisson series: e^-700 is still
+# a normal double, so the series' weights keep their relative accuracy.
+_MAX_SERIES_RATE = 700.0
+# Largest L*dt one evolve accepts (15 series); a longer interval is
+# refused as too long for the solver to finish in reasonable time.
 _MAX_SUBSTEPS = 10_000
 
 
@@ -59,14 +63,18 @@ class SolverAccuracyError(RuntimeError):
 
 
 class SubstepLimitError(RuntimeError):
-    """Uniformization needs more substeps than _MAX_SUBSTEPS."""
+    """An interval's L*dt exceeds _MAX_SUBSTEPS."""
 
 
-def _poisson_weights(lam, tail_tol):
+def _poisson_weights(lam, tail_tol, distance=0):
     """Weights e^-lam lam^k / k! until the remaining tail mass < tail_tol.
 
     The series also ends once a term no longer changes the partial sum:
     a tail_tol below double resolution of 1 would otherwise never be met.
+    A target distance jumps away gets nothing before the distance-th term,
+    so where distance lies past the weights' mode, as on a short gap, the
+    series runs on until the terms after the distance-th sum below double
+    resolution of it.
     """
     weights = [math.exp(-lam)]
     cum = weights[0]
@@ -78,6 +86,15 @@ def _poisson_weights(lam, tail_tol):
             break
         weights.append(w)
         cum += w
+    if distance > lam:
+        while True:
+            k = len(weights)
+            # past the mode the terms shrink at least geometrically, by
+            # lam/k, so the tail after the last term is below this
+            if k > distance and (weights[-1] * lam / (k - lam)
+                                 <= 2.0 ** -53 * weights[distance]):
+                break
+            weights.append(weights[-1] * lam / k)
     return np.array(weights)
 
 
@@ -100,12 +117,11 @@ def evolve_tt(gen: CPOperator, p0: TTVector, dt) -> TTVector:
     if dt == 0:
         return TTVector([c.copy() for c in p0.cores])
 
-    lam_total = gen.exit_rate_bound
-    n_sub = max(1, math.ceil(lam_total * dt))
-    if n_sub > _MAX_SUBSTEPS:
-        raise SubstepLimitError(
-            f"{n_sub} substeps needed, cap is {_MAX_SUBSTEPS}")
-    lam = lam_total * dt / n_sub
+    rate = gen.exit_rate_bound * dt
+    if rate > _MAX_SUBSTEPS:
+        raise SubstepLimitError(f"L*dt = {rate:.6g} exceeds the cap {_MAX_SUBSTEPS}")
+    n_sub = max(1, math.ceil(rate / _MAX_SERIES_RATE))
+    lam = rate / n_sub
     weights = _poisson_weights(lam, _TAIL_ABS / n_sub)
     n_apply = max((len(weights) - 1) * n_sub, 1)
     tol_app = _ABS_ACC / n_apply

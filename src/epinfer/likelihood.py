@@ -25,7 +25,8 @@ import numpy as np
 import scipy.linalg
 
 from .datagen import ObservationSeries, Transitions, _check_states
-from .forward import SolverAccuracyError, _poisson_weights, _ssa_endpoints, evolve_tt
+from .forward import (_MAX_SERIES_RATE, SolverAccuracyError, _poisson_weights,
+                      _ssa_endpoints, evolve_tt)
 from .generator import (ModelParams, _rate_triplets, build_generator_cp,
                         build_generator_dense)
 from .graphs import Network, all_pairs, fiedler_ordering, permute_network
@@ -50,13 +51,6 @@ __all__ = [
 PROB_FLOOR = 1e-300
 # TT entries this far below zero indicate solver failure, not roundoff.
 _NEGATIVE_TOL = 1e-8
-# Largest uniformization rate L*dt of a block solve: e^-700 is still a
-# normal double, so one series of Poisson weights keeps its relative
-# accuracy.  A longer interval reads its sources from the full exp(A*dt).
-_MAX_BLOCK_RATE = 700.0
-# Double resolution, the relative size below which the block series drops
-# its remaining terms.
-_RESOLUTION = 2.0 ** -53
 # Columns of one block-solve panel.  A sparse product's cost grows with
 # its columns, so an unpadded block made a likelihood's cost follow the
 # number of distinct states its series visits (4 to 179 on simulated
@@ -163,28 +157,6 @@ def _uniformized_csr(net, params):
     return scipy.sparse.csr_array((data, coords), shape=(len(rates),) * 2), bound
 
 
-def _block_weights(rate, distance):
-    """Poisson weights e^-rate rate^k / k! of a block solve.
-
-    The series runs to double resolution of 1, as on the TT path.  A
-    target d flips away from its source gets nothing before the d-th term,
-    so where distance (the largest such d) lies past the weights' mode, as
-    on a short gap, the series runs on until the terms after the d-th sum
-    below double resolution of it.
-    """
-    weights = list(_poisson_weights(rate, 0.0))
-    if distance > rate:
-        while True:
-            k = len(weights)
-            # past the mode the terms shrink at least geometrically, by
-            # rate/k, so the tail after the last term is below this
-            if k > distance and (weights[-1] * rate / (k - rate)
-                                 <= _RESOLUTION * weights[distance]):
-                break
-            weights.append(weights[-1] * rate / k)
-    return np.array(weights)
-
-
 def _propagate_block(shifted, weights, columns):
     """exp(A*dt) applied to the unit vectors of the given states, one column each.
 
@@ -220,7 +192,8 @@ def _probs_dense(net, params, transitions):
 
     Per distinct interval length dt, the sources of that length are
     propagated together as one (2^N x S) block by uniformization, or read
-    from the full exp(A*dt) where L*dt exceeds _MAX_BLOCK_RATE.
+    from the full exp(A*dt) where L*dt exceeds _MAX_SERIES_RATE.  The
+    series runs past the largest flip count among the interval's triples.
     """
     tr = transitions
     sources, targets = _state_index(tr.sources), _state_index(tr.targets)
@@ -231,11 +204,11 @@ def _probs_dense(net, params, transitions):
     for dt in set(tr.dts.tolist()):
         groups = np.flatnonzero(tr.dts == dt)
         rows = np.isin(tr.group, groups)
-        if bound * dt > _MAX_BLOCK_RATE:
+        if bound * dt > _MAX_SERIES_RATE:
             block = dense_propagator(net, params, dt)
             column[groups] = sources[groups]
         else:
-            weights = _block_weights(bound * dt, int(flips[rows].max()))
+            weights = _poisson_weights(bound * dt, 0.0, int(flips[rows].max()))
             block = _propagate_block(shifted, weights, sources[groups])
             column[groups] = np.arange(len(groups))
         probs[rows] = block[targets[rows], column[tr.group[rows]]]

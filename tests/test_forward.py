@@ -73,10 +73,11 @@ class TestEvolveTT:
         assert err <= 2e-6
 
     def test_substep_cap(self, params):
-        net = chain_network(4)
-        gen = build_generator_cp(net, params)
-        with pytest.raises(SubstepLimitError):
-            evolve_tt(gen, unit_state_tt([1, 0, 0, 0]), 1e6)
+        # one node has L = 0.5, so its interval lies just above L*dt = 10,000
+        for n, dt in [(4, 1e6), (1, math.nextafter(2e4, math.inf))]:
+            gen = build_generator_cp(chain_network(n), params)
+            with pytest.raises(SubstepLimitError):
+                evolve_tt(gen, unit_state_tt([1] + [0] * (n - 1)), dt)
 
     def test_absolute_accuracy_of_rare_entries(self, params):
         # probabilities far below any relative tolerance are still resolved
@@ -96,9 +97,10 @@ class TestEvolveTT:
             n_checked += int(rare.sum())
         assert n_checked >= 10
 
-    def test_one_rounding_per_application(self, params, monkeypatch):
-        # Horner's rule rounds once per Poisson term, and the edge-counting
-        # exit-rate bound covers an Austria dt=0.05 interval in one substep
+    @pytest.mark.parametrize("dt", [0.05, 0.3])
+    def test_one_rounding_per_application(self, params, monkeypatch, dt):
+        # Horner's rule rounds once per Poisson term, and one series covers
+        # an Austria interval of L*dt = 0.875 or 5.25
         calls = {"cp_apply": 0, "tt_round": 0}
 
         def counted(name):
@@ -116,10 +118,10 @@ class TestEvolveTT:
         gen = build_generator_cp(pnet, params)
         x0 = np.zeros(9, dtype=np.uint8)
         x0[4] = 1
-        evolve_tt(gen, unit_state_tt(x0), 0.05)
-        one_substep = forward._poisson_weights(gen.exit_rate_bound * 0.05,
-                                               forward._TAIL_ABS)
-        assert calls["cp_apply"] == calls["tt_round"] == len(one_substep) - 1
+        evolve_tt(gen, unit_state_tt(x0), dt)
+        one_series = forward._poisson_weights(gen.exit_rate_bound * dt,
+                                              forward._TAIL_ABS)
+        assert calls["cp_apply"] == calls["tt_round"] == len(one_series) - 1
 
     @pytest.mark.parametrize("dt", [0.1, 1.0, 5.0])
     def test_absolute_accuracy_over_substeps(self, params, dt):
@@ -131,6 +133,23 @@ class TestEvolveTT:
             p_tt = tt_to_dense(evolve_tt(gen, unit_state_tt(x0), dt))
             oracle = dense_propagator(net, params, dt)[:, state_index(x0)]
             np.testing.assert_allclose(p_tt, oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rate", [1000, 10_000])
+    def test_series_single_node(self, params, rate):
+        # L*dt = 1000 takes two series, and 10,000, the most an evolve
+        # admits, takes 15
+        dt = rate / build_generator_cp(Network(1), params).exit_rate_bound
+        p = transition_prob_tt(Network(1), params, [0], [1], dt)
+        assert p == pytest.approx(two_state_infection_prob(params, dt), rel=1e-9)
+
+    def test_two_series_match_expm_oracle(self, params):
+        net = chain_network(3)
+        gen = build_generator_cp(net, params)
+        dt = 1000 / gen.exit_rate_bound
+        x0 = [1, 0, 0]
+        p_tt = tt_to_dense(evolve_tt(gen, unit_state_tt(x0), dt))
+        oracle = dense_propagator(net, params, dt)[:, state_index(x0)]
+        np.testing.assert_allclose(p_tt, oracle, rtol=0, atol=1e-12)
 
     def test_mass_deficit_raises(self, params, monkeypatch):
         # roundings that keep rank 1 drop real probability mass
@@ -195,6 +214,41 @@ class TestEvolveTT:
         assert tt_round(out, 1e-8).ranks[3] == 1
 
 
+class TestLargeN:
+    """TT at sizes no dense oracle holds."""
+
+    def test_chain24_ranks_stay_low(self, params, monkeypatch):
+        ranks = []
+
+        def recorded(p, tol):
+            out = tt_round(p, tol)
+            ranks.append(max(out.ranks))
+            return out
+
+        monkeypatch.setattr(forward, "tt_round", recorded)
+        x0 = np.zeros(24, dtype=np.uint8)
+        x0[::4] = 1
+        evolve_tt(build_generator_cp(chain_network(24), params), unit_state_tt(x0), 0.1)
+        assert ranks and max(ranks) <= 32
+
+    def test_disjoint_chains_factor(self, params):
+        # the propagator of disjoint components is the product of theirs
+        n_chains, dt = 6, 0.3
+        net = Network(4 * n_chains, [(4 * c + i, 4 * c + i + 1)
+                                     for c in range(n_chains) for i in range(3)])
+        rng = np.random.default_rng(60)
+        x0 = random_state(rng, net.n_nodes)
+        evolved = evolve_tt(build_generator_cp(net, params), unit_state_tt(x0), dt)
+        for _ in range(5):
+            x1 = x0.copy()
+            x1[rng.integers(net.n_nodes, size=2)] ^= 1
+            expected = math.prod(
+                transition_prob_dense(chain_network(4), params, x0[4 * c:4 * c + 4],
+                                      x1[4 * c:4 * c + 4], dt)
+                for c in range(n_chains))
+            assert tt_element(evolved, x1) == pytest.approx(expected, rel=1e-8)
+
+
 class TestTransitionProbTT:
     def test_self_transition_near_one_for_tiny_dt(self, params):
         net = chain_network(3)
@@ -207,8 +261,7 @@ class TestTransitionProbTT:
         assert p == pytest.approx(9.749280287759415e-4, rel=1e-8)
 
     def test_long_interval_single_node(self, params):
-        # 31 substeps: the Poisson tail target 1e-14/31 is too close to the
-        # double resolution of 1 for the partial sum to reach it
+        # one series at L*dt = 30.75, whose weights peak far from k = 0
         p = transition_prob_tt(Network(1), params, [0], [1], 61.5)
         assert p == pytest.approx(two_state_infection_prob(params, 61.5), rel=1e-9)
 

@@ -270,7 +270,7 @@ class TestDenseBlock:
         sources = [np.zeros(n, np.uint8), np.ones(n, np.uint8), random_state(rng, n)]
         probs = likelihood._probs_dense(net, params, self.every_target(net, sources, [dt]))
         shifted, bound = likelihood._uniformized_csr(net, params)
-        weights = list(likelihood._block_weights(bound * dt, n))
+        weights = list(forward._poisson_weights(bound * dt, 0.0, n))
         for k in range(len(weights), len(weights) + 40):
             weights.append(weights[-1] * bound * dt / k)
         columns = likelihood._state_index(np.array(sources))
@@ -284,7 +284,7 @@ class TestDenseBlock:
         # a solve's sparse products have as many columns on every series
         # that visits up to one panel of distinct states
         shifted, bound = likelihood._uniformized_csr(chain_network(n), params)
-        weights = likelihood._block_weights(bound * 0.1, 1)
+        weights = forward._poisson_weights(bound * 0.1, 0.0, 1)
         block = likelihood._propagate_block(shifted, weights, np.arange(n_sources))
         assert block.base.shape == (2, 1 << n, width)
         assert block.shape == (1 << n, n_sources)
