@@ -9,14 +9,18 @@ epidemic generator that rank is 2 + 2c, where c is the smaller count of
 nodes on either side of a bond with an edge crossing it, however many
 terms the operator has.
 
+The MPO is built from the terms as a finite-state machine (Crosswhite &
+Bacon, PRA 2008), whose bond rank is 2 plus the number of terms spanning
+the bond, and then rounded to the exact rank.
+
 Rounding is the TT-SVD recompression of Oseledets (SISC 2011): the train
 is orthogonalized, then truncated by SVDs bond by bond.  A bond rank above
 the dense bound (min of the mode-size products on either side), as a
 matrix-vector product leaves it, cannot survive, and a core at such a bond
-needs no QR: the identity is an exact orthogonal factor, so its content
-moves to a neighbour with one matmul.  The factorizations call LAPACK
-directly and raise numpy.linalg.LinAlgError when one fails or meets a
-non-finite entry.
+needs no QR: the identity is an exact orthogonal factor, kept as a shape,
+so the core's content moves to a neighbour with one matmul.  The
+factorizations call LAPACK directly and raise numpy.linalg.LinAlgError
+when one fails or meets a non-finite entry.
 
 State indexing is big-endian: state x maps to sum_n x_n * 2^(N-1-n) with
 node 0 the most significant bit, matching C-order flattening of the dense
@@ -50,11 +54,12 @@ __all__ = [
 # matrix is 2 GiB).
 MAX_DENSE_MATRIX_SITES = 14
 # Relative accuracy of the MPO compression, in tt_round's sense.  The
-# block sum of the terms has exact low rank: its extra singular values are
-# roundoff, below 4e-16 of the operator's Frobenius norm on the chain and
-# Austria generators, while the ones kept are above 3e-3 of it at the
-# default rates.  A cut in that gap returns the exact rank and changes the
-# operator by at most _MPO_TOL of its norm.
+# finite-state MPO of the terms has exact low rank: its extra singular
+# values are roundoff, below 2e-17 of the operator's Frobenius norm on the
+# chain8, Austria and smallworld10 generators and their uniformized forms,
+# while the ones kept are above 4e-3 of it at the default rates.  A cut in
+# that gap returns the exact rank and changes the operator by at most
+# _MPO_TOL of its norm.
 _MPO_TOL = 1e-14
 
 
@@ -63,8 +68,8 @@ class TTVector:
     """Tensor-train factorization of a vector over {0,1}^N.
 
     cores[n] has shape (ranks[n], 2, ranks[n+1]) with boundary ranks 1.
-    Treated as immutable after construction; operations allocate fresh
-    instances.
+    Treated as immutable after construction; operations return new
+    instances, which may share cores with their inputs.
     """
 
     cores: list
@@ -124,14 +129,53 @@ class CPOperator:
     def mpo(self) -> list:
         """TT-matrix cores of shape (r, 2, 2, r'), out index before in index.
 
-        The terms are block-summed as a rank-(number of terms) TT-matrix,
-        then rounded at _MPO_TOL with each core viewed as a TT-vector core
-        whose mode is the 4 (out, in) index pairs.
+        The terms are read as a finite-state machine (Crosswhite & Bacon,
+        PRA 78, 012356, 2008).  A term acts from the first to the last
+        site of its non-identity factors, its span; a term of identities
+        alone acts at site 0.  Each bond carries a "not started" channel,
+        the identity on every site left of it; a "finished" channel, the
+        sum of the terms whose span ends left of it; and one channel per
+        term whose span crosses it.  A term's coefficient goes on its first
+        factor.  The cores are then rounded at _MPO_TOL, each viewed as a
+        TT-vector core whose mode is the 4 (out, in) index pairs.
         """
-        rank_one = [[(coeff * factors[0]).reshape(1, 4, 1)]
-                    + [f.reshape(1, 4, 1) for f in factors[1:]]
-                    for coeff, factors in self.terms]
-        cores = _round_cores(_block_sum(rank_one), _MPO_TOL)
+        n_sites, n_terms = self.n_sites, len(self.terms)
+        coeffs = np.array([c for c, _ in self.terms], dtype=float)
+        factors = np.array([f for _, f in self.terms], dtype=float).reshape(
+            n_terms, n_sites, 4)
+        moving = (factors != np.eye(2).ravel()).any(axis=2)
+        first = moving.argmax(axis=1)
+        last = np.where(moving.any(axis=1), n_sites - 1 - moving[:, ::-1].argmax(axis=1), 0)
+        factors[np.arange(n_terms), first] *= coeffs[:, None]
+        # bond b lies left of site b; channel 0 is "not started", channel 1
+        # "finished" (0 at bond N, the only channel there), 2... the open
+        # terms in order
+        bonds = np.arange(n_sites + 1)
+        open_ = (first[:, None] < bonds) & (bonds <= last[:, None])
+        channel = 1 + np.cumsum(open_, axis=0)
+        ranks = 2 + open_.sum(axis=0)
+        ranks[0] = ranks[-1] = 1
+        finished = (bonds < n_sites).astype(int)
+        # the entries (site, row, column, 4 values): each (term, site) of a
+        # span, then the identities on sites 0..N-2 from "not started" to
+        # itself and on sites 1..N-1 from "finished" to itself
+        t, n = np.nonzero((first[:, None] <= bonds[:-1]) & (bonds[:-1] <= last[:, None]))
+        rows = np.where(n == first[t], 0, channel[t, n])
+        cols = np.where(n == last[t], finished[n + 1], channel[t, n + 1])
+        values = factors[t, n]
+        carried = np.arange(n_sites - 1)
+        n = np.concatenate([n, carried, carried + 1])
+        rows = np.concatenate([rows, np.zeros_like(carried), np.ones_like(carried)])
+        cols = np.concatenate([cols, np.zeros_like(carried), finished[carried + 2]])
+        values = np.concatenate([values, np.tile(np.eye(2).ravel(), (2 * len(carried), 1))])
+        # summed into one buffer that holds every core as (r, 4, r')
+        offsets = np.concatenate([[0], np.cumsum(ranks[:-1] * 4 * ranks[1:])])
+        flat = (offsets[n] + rows * 4 * ranks[n + 1] + cols)[:, None] + (
+            np.arange(4) * ranks[n + 1][:, None])
+        data = np.bincount(flat.ravel(), weights=values.ravel(), minlength=offsets[-1])
+        cores = [data[offsets[k]:offsets[k + 1]].reshape(ranks[k], 4, ranks[k + 1])
+                 for k in range(n_sites)]
+        cores = _round_cores(cores, _MPO_TOL)
         return [c.reshape(c.shape[0], 2, 2, c.shape[2]) for c in cores]
 
     @cached_property
@@ -191,38 +235,24 @@ def _chop(s, delta) -> int:
 
 
 def tt_add(a: TTVector, b: TTVector) -> TTVector:
-    """Sum of two TT vectors; ranks add bond-wise."""
+    """Sum of two TT vectors; ranks add bond-wise, cores block-diagonal."""
     if a.n_sites != b.n_sites:
         raise ValueError("site counts differ")
-    return TTVector(_block_sum([a.cores, b.cores]))
-
-
-def _block_sum(core_lists) -> list:
-    """Cores of the sum of several tensor trains, block-diagonal in rank.
-
-    Cores have shape (r, m, r'), with the same mode size m at each site.
-    """
-    n_sites = len(core_lists[0])
-    if n_sites == 1:
-        return [sum(cl[0] for cl in core_lists)]
-    cores = [np.concatenate([cl[0] for cl in core_lists], axis=2)]
-    for n in range(1, n_sites - 1):
-        lefts = [cl[n].shape[0] for cl in core_lists]
-        rights = [cl[n].shape[2] for cl in core_lists]
-        block = np.zeros((sum(lefts), core_lists[0][n].shape[1], sum(rights)))
-        lo_l = lo_r = 0
-        for cl, rl, rr in zip(core_lists, lefts, rights):
-            block[lo_l:lo_l + rl, :, lo_r:lo_r + rr] = cl[n]
-            lo_l += rl
-            lo_r += rr
+    if a.n_sites == 1:
+        return TTVector([a.cores[0] + b.cores[0]])
+    cores = [np.concatenate([a.cores[0], b.cores[0]], axis=2)]
+    for ca, cb in zip(a.cores[1:-1], b.cores[1:-1]):
+        block = np.zeros((ca.shape[0] + cb.shape[0], 2, ca.shape[2] + cb.shape[2]))
+        block[:ca.shape[0], :, :ca.shape[2]] = ca
+        block[ca.shape[0]:, :, ca.shape[2]:] = cb
         cores.append(block)
-    cores.append(np.concatenate([cl[-1] for cl in core_lists], axis=0))
-    return cores
+    cores.append(np.concatenate([a.cores[-1], b.cores[-1]], axis=0))
+    return TTVector(cores)
 
 
 def tt_scale(a: TTVector, c) -> TTVector:
-    cores = [a.cores[0] * float(c)] + [core.copy() for core in a.cores[1:]]
-    return TTVector(cores)
+    """c times a: a new first core, sharing a's other cores."""
+    return TTVector([a.cores[0] * float(c)] + a.cores[1:])
 
 
 def tt_round(p: TTVector, tol) -> TTVector:
@@ -230,13 +260,16 @@ def tt_round(p: TTVector, tol) -> TTVector:
 
     Left-to-right orthogonalization followed by right-to-left SVD
     truncation; the error budget tol*||p|| is split evenly over the N-1
-    bonds, and cores 1..N-1 come out right-orthogonal.  The orthogonalizing
-    pass skips the QR of every core whose left unfolding is wide
-    (r_left*m <= r_right), taking the identity as its orthogonal factor; a
-    right-to-left pre-pass does the same for the tail of cores whose right
-    unfolding is tall (r_left >= m*r_right), so both ends reach the dense
-    bound by matmuls alone.  Ranks never increase; tol=0 re-orthogonalizes
-    losslessly.  A non-finite entry raises numpy.linalg.LinAlgError.
+    bonds, and cores 1..N-1 come out right-orthogonal.  Where an unfolding
+    exceeds the dense bound the identity is an exact orthogonal factor,
+    kept as a shape and never built.  A right-to-left pre-pass merges the
+    tail of cores whose right unfolding is tall (r_left >= m*r_right) into
+    one dense block, whose bonds take an SVD each and no QR.  The
+    orthogonalizing pass moves each core whose left unfolding is wide
+    (r_left*m <= r_right) into its right neighbour by one matmul, and the
+    truncating pass makes the carry that reaches it its new core.  Ranks
+    never increase; tol=0 re-orthogonalizes losslessly.  A non-finite entry
+    raises numpy.linalg.LinAlgError.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -244,48 +277,62 @@ def tt_round(p: TTVector, tol) -> TTVector:
 
 
 def _round_cores(cores, tol) -> list:
-    """The tt_round sweep on cores of shape (r, m, r'), any mode size m."""
+    """The tt_round sweep on cores of shape (r, m, r'), one mode size m."""
     cores = list(cores)
     n_sites = len(cores)
     if n_sites == 1:
         if not np.isfinite(cores[0]).all():
             raise np.linalg.LinAlgError("non-finite entry in a one-site train")
         return [cores[0].copy()]
+    m = cores[0].shape[1]
     # Right-to-left over the tail of tall right unfoldings (r >= m*r'): the
     # identity is an exact right-orthogonal factor, so each core's content
-    # moves into its left neighbour by one matmul.
+    # moves into its left neighbour by one matmul.  The tail then holds
+    # identities, kept as shapes: its sites are folded into the right index
+    # of core tail-1, a dense block.
+    tail = n_sites
     for n in range(n_sites - 1, 0, -1):
-        r_left, m, r_right = cores[n].shape
+        r_left, _, r_right = cores[n].shape
         if r_left < m * r_right:
             break
         prev = cores[n - 1]
         cores[n - 1] = (prev.reshape(-1, r_left) @ cores[n].reshape(r_left, -1)).reshape(
-            prev.shape[0], prev.shape[1], m * r_right)
-        cores[n] = np.eye(m * r_right).reshape(m * r_right, m, r_right)
-    # Left-to-right orthogonalization.  A wide left unfolding (r*m <= r')
-    # also has the identity as an exact orthogonal factor; the others take
-    # a QR.
-    for n in range(n_sites - 1):
-        r_left, m, r_right = cores[n].shape
+            prev.shape[0], prev.shape[1], -1)
+        tail = n
+    # Left-to-right orthogonalization up to the block.  A wide left
+    # unfolding (r*m <= r') also has the identity as an exact orthogonal
+    # factor: its content moves right by one matmul and the core is left as
+    # None, an identity of shape (r, m, r*m).  The others take a QR.
+    for n in range(tail - 1):
+        r_left, _, r_right = cores[n].shape
+        mat = cores[n].reshape(r_left * m, r_right)
         nxt = cores[n + 1].reshape(r_right, -1)
         if r_left * m <= r_right:
-            nxt = cores[n].reshape(r_left * m, r_right) @ nxt
-            cores[n] = np.eye(r_left * m).reshape(r_left, m, r_left * m)
+            nxt = mat @ nxt
+            cores[n] = None
         else:
-            q, nxt = _qr(cores[n].reshape(r_left * m, r_right), nxt)
+            q, nxt = _qr(mat, nxt)
             cores[n] = q.reshape(r_left, m, r_right)
-        cores[n + 1] = nxt.reshape(nxt.shape[0], cores[n + 1].shape[1], -1)
-    norm = np.linalg.norm(cores[-1])
-    delta = tol * norm / np.sqrt(n_sites - 1)
+        cores[n + 1] = nxt.reshape(nxt.shape[0], m, -1)
+    # Right-to-left truncation: an SVD per bond, of the block's unfolding
+    # in the tail and of each core left of it
+    block = cores[tail - 1]
+    delta = tol * np.linalg.norm(block) / np.sqrt(n_sites - 1)
+    r_right = 1
     for n in range(n_sites - 1, 0, -1):
-        r_left, m, r_right = cores[n].shape
-        u, s, vt = _svd(cores[n].reshape(r_left, m * r_right))
+        mat = (block if n >= tail else cores[n]).reshape(-1, m * r_right)
+        u, s, vt = _svd(mat)
         r = _chop(s, delta)
         cores[n] = vt[:r].reshape(r, m, r_right)
         carry = u[:, :r] * s[:r]
         prev = cores[n - 1]
-        cores[n - 1] = (prev.reshape(-1, r_left) @ carry).reshape(
-            prev.shape[0], prev.shape[1], r)
+        if n > tail:
+            block = carry
+        elif n == tail or prev is None:
+            cores[n - 1] = carry.reshape(-1, m, r)
+        else:
+            cores[n - 1] = (prev.reshape(-1, len(mat)) @ carry).reshape(prev.shape[0], m, r)
+        r_right = r
     return cores
 
 

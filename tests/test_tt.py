@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epinfer import (CPOperator, Network, TTVector, austria_network,
-                     chain_network, cp_apply, cp_to_dense, smallworld_network,
-                     tt_add, tt_element, tt_inner, tt_ones, tt_round, tt_scale,
-                     unit_state_tt)
+                     chain_network, cp_apply, cp_to_dense, evolve_tt,
+                     smallworld_network, tt_add, tt_element, tt_inner, tt_ones,
+                     tt_round, tt_scale, unit_state_tt)
 from epinfer import ModelParams, build_generator_cp, build_generator_dense
 from epinfer.graphs import fiedler_ordering, permute_network
 from epinfer.tt import _round_cores
 
-from conftest import (index_state, random_network, round_cores_reference,
-                      state_index, tt_from_dense, tt_to_dense)
+from conftest import (index_state, random_network, random_state,
+                      round_cores_reference, state_index, tt_from_dense,
+                      tt_to_dense)
 
 
 def random_tt(rng, n_sites, rank):
@@ -196,6 +197,16 @@ class TestAddScale:
         np.testing.assert_allclose(tt_to_dense(tt_scale(a, -2.5)),
                                    -2.5 * tt_to_dense(a), atol=1e-12)
 
+    def test_scale_leaves_input_unchanged(self):
+        rng = np.random.default_rng(15)
+        a = random_tt(rng, 5, 3)
+        before = [core.copy() for core in a.cores]
+        scaled = tt_scale(a, 4.0)
+        for core, kept in zip(a.cores, before):
+            np.testing.assert_array_equal(core, kept)
+        np.testing.assert_allclose(tt_to_dense(scaled), 4.0 * tt_to_dense(a),
+                                   rtol=1e-15)
+
     def test_add_dimension_mismatch(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
@@ -273,6 +284,42 @@ class TestRound:
         p.cores[site][0, 0, 0] = bad
         with pytest.raises(np.linalg.LinAlgError):
             tt_round(p, 1e-12)
+
+
+def delta_ranks(dense, n_sites, tol):
+    """Smallest rank of each bond's dense unfolding whose discarded
+    singular-value tail is at most tol*||dense||/sqrt(N-1)."""
+    delta = tol * np.linalg.norm(dense) / np.sqrt(n_sites - 1)
+    ranks = []
+    for bond in range(1, n_sites):
+        s = np.linalg.svd(dense.reshape(2 ** bond, -1), compute_uv=False)
+        tails = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tails[r] = ||s[r:]||
+        ranks.append(max(1, int(np.count_nonzero(tails > delta))))
+    return ranks
+
+
+class TestRoundOperatorStep:
+    """Rounding of w*p + B*acc as cp_apply and tt_add leave it, with bond
+    ranks above the dense bound at both ends of the train."""
+
+    @pytest.mark.parametrize("net", [austria_network(), chain_network(8)],
+                             ids=["austria9", "chain8"])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8])
+    def test_matches_dense_and_delta_ranks(self, params, net, tol):
+        pnet = permute_network(net, fiedler_ordering(net))
+        gen = build_generator_cp(pnet, params)
+        rng = np.random.default_rng(16)
+        for dt in (0.05, 0.1):
+            p = unit_state_tt(random_state(rng, net.n_nodes))
+            acc = evolve_tt(gen, p, dt)
+            step = tt_add(cp_apply(gen.uniformized, acc), tt_scale(p, 0.3))
+            # the dense bound is 2 at the first and the last bond
+            assert step.ranks[1] > 2 and step.ranks[-2] > 2
+            dense = tt_to_dense(step)
+            rounded = tt_round(step, tol)
+            assert (np.linalg.norm(tt_to_dense(rounded) - dense)
+                    <= tol * np.linalg.norm(dense))
+            assert list(rounded.ranks[1:-1]) == delta_ranks(dense, net.n_nodes, tol)
 
 
 class TestInner:
@@ -401,6 +448,64 @@ class TestGeneratorMPO:
         out = cp_apply(gen, p)
         assert out.ranks == tuple(m.shape[0] * r for m, r
                                   in zip(gen.mpo, p.ranks[:-1])) + (1,)
+
+
+def mpo_to_dense(cores) -> np.ndarray:
+    """Full matrix of a TT-matrix with cores (r, 2, 2, r')."""
+    out = np.ones((1, 1, 1))
+    for core in cores:
+        out = np.einsum("abr,rijs->aibjs", out, core).reshape(
+            2 * out.shape[0], 2 * out.shape[1], core.shape[3])
+    return out[:, :, 0]
+
+
+def generic_term(rng, n_sites, sites):
+    """A random coefficient and random 2x2 factors on `sites`, identities
+    elsewhere."""
+    factors = [np.eye(2)] * n_sites
+    for n in sites:
+        factors[n] = rng.standard_normal((2, 2))
+    return float(rng.standard_normal()), factors
+
+
+class TestFiniteStateMPO:
+    """The MPO of operators whose terms have generic factors, against
+    cp_to_dense."""
+
+    @pytest.mark.parametrize("n_sites,term_sites", [
+        (1, [[0]]),
+        (1, [[0], []]),
+        (2, [[0], [1], [0, 1], []]),
+        (2, [[0, 1], [0, 1]]),
+        (4, [[1], [0, 3], [1, 2], [0, 1, 3], []]),
+        (6, [[0, 2, 5], [1, 3, 4], [2], [4, 5], [0, 5], [0, 5], []]),
+    ], ids=["n1", "n1-identity", "n2-every-span", "n2-same-span", "n4", "n6-gaps"])
+    def test_matches_dense(self, n_sites, term_sites):
+        rng = np.random.default_rng(n_sites + len(term_sites))
+        op = CPOperator([generic_term(rng, n_sites, sites) for sites in term_sites])
+        want = cp_to_dense(op)
+        got = mpo_to_dense(op.mpo)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_random_terms(self, n_sites, n_terms, seed):
+        # 0 to 3 non-identity factors per term; bond ranks at most 2 plus
+        # the terms whose first and last factor lie on either side
+        rng = np.random.default_rng(seed)
+        spans = [sorted(rng.choice(n_sites, int(rng.integers(0, min(3, n_sites) + 1)),
+                                   replace=False)) for _ in range(n_terms)]
+        op = CPOperator([generic_term(rng, n_sites, sites) for sites in spans])
+        want = cp_to_dense(op)
+        got = mpo_to_dense(op.mpo)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        for bond in range(1, n_sites):
+            crossing = sum(1 for sites in spans if sites and sites[0] < bond <= sites[-1])
+            assert op.mpo[bond - 1].shape[3] <= 2 + crossing
+
+    def test_chain24_uniformized_ranks(self, params):
+        gen = build_generator_cp(chain_network(24), params)
+        assert [core.shape[3] for core in gen.uniformized.mpo[:-1]] == [4] * 23
 
 
 UNIFORMIZED_NETS = [
