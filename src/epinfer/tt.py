@@ -96,18 +96,19 @@ class TTVector:
         return (1,) + tuple(core.shape[2] for core in self.cores)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CPOperator:
     """Operator as a sum of Kronecker terms: sum_t coeff_t * (F_1 x ... x F_N).
 
-    Each term is a (coefficient, [N 2x2 factors]) pair.  exit_rate_bound,
+    Each term is a (coefficient, N 2x2 factors) pair.  exit_rate_bound,
     when set by the generator builder, is an upper bound on the largest
     total exit rate of any state and drives uniformization step control.
-    Treated as immutable after construction: the MPO form and the
-    uniformized operator are derived from the terms on first use and kept.
+    Immutable after construction, since one generator can serve many
+    callers: the MPO form and the uniformized operator are derived from
+    the terms on first use and kept, the MPO as a tuple of read-only cores.
     """
 
-    terms: list
+    terms: tuple
     exit_rate_bound: float = None
 
     def __post_init__(self):
@@ -176,22 +177,32 @@ class CPOperator:
         cores = [data[offsets[k]:offsets[k + 1]].reshape(ranks[k], 4, ranks[k + 1])
                  for k in range(n_sites)]
         cores = _round_cores(cores, _MPO_TOL)
-        return [c.reshape(c.shape[0], 2, 2, c.shape[2]) for c in cores]
+        return _read_only(c.reshape(c.shape[0], 2, 2, c.shape[2]) for c in cores)
 
     @cached_property
-    def _mpo_matrices(self) -> list:
+    def _mpo_matrices(self) -> tuple:
         """mpo cores laid out as (r, 1, 2*r', 2): per left rank index, a
         matrix with rows (out, r') and columns in, as cp_apply multiplies."""
-        return [np.ascontiguousarray(m.transpose(0, 1, 3, 2)).reshape(m.shape[0], 1, -1, 2)
-                for m in self.mpo]
+        return _read_only(
+            np.ascontiguousarray(m.transpose(0, 1, 3, 2)).reshape(m.shape[0], 1, -1, 2)
+            for m in self.mpo)
 
     @cached_property
     def uniformized(self) -> CPOperator:
         """I + A/L with L = exit_rate_bound: the identity term, then A's terms / L."""
         if self.exit_rate_bound is None:
             raise ValueError("generator carries no exit-rate bound")
-        scaled = [(c / self.exit_rate_bound, f) for c, f in self.terms]
-        return CPOperator([(1.0, [np.eye(2)] * self.n_sites)] + scaled)
+        identity = _read_only([np.eye(2)])
+        scaled = tuple((c / self.exit_rate_bound, f) for c, f in self.terms)
+        return CPOperator(((1.0, identity * self.n_sites),) + scaled)
+
+
+def _read_only(arrays) -> tuple:
+    """The arrays as a tuple, each flagged read-only."""
+    arrays = tuple(arrays)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def unit_state_tt(x) -> TTVector:
