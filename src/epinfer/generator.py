@@ -12,12 +12,11 @@ index source states, rows destination states, every column sums to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .graphs import Network
-from .tt import MAX_DENSE_MATRIX_SITES, CPOperator, _read_only
+from .tt import MAX_DENSE_MATRIX_SITES, CPOperator
 
 __all__ = [
     "ModelParams",
@@ -36,8 +35,6 @@ _SEL_SUSCEPT = np.diag([1.0, 0.0])
 # single-node generator blocks, diagonal included
 _RECOVER = (_DOWN - _ID) @ _SEL_INFECTED
 _INFECT = (_UP - _ID) @ _SEL_SUSCEPT
-# every memoized generator shares these, so none may be written to
-_read_only((_ID, _DOWN, _UP, _SEL_INFECTED, _SEL_SUSCEPT, _RECOVER, _INFECT))
 
 
 @dataclass(frozen=True)
@@ -94,48 +91,30 @@ def exit_rate_bound(net: Network, params: ModelParams) -> float:
     return float(min(per_node.sum(), whole))
 
 
-# Generators kept by build_generator_cp.  128 holds one contrast sweep, the
-# truth and its N(N-1)/2 single-link toggles, up to N=16 (121 networks), so
-# a second dataset finds every operator built.  A bound is needed because an
-# MCMC chain visits hundreds of networks and an unbounded memo would grow
-# with it.  An entry, with its uniformized operator and MPO derived, holds
-# 33 kB on the Fiedler-ordered Austria network and 75 kB on chain24
-# (tracemalloc), so a full memo of either holds about 4 or 10 MB.
-_GENERATOR_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=_GENERATOR_CACHE_SIZE)
 def build_generator_cp(net: Network, params: ModelParams) -> CPOperator:
     """Generator as 2N + sum(deg) Kronecker terms.
 
     One recovery and one spontaneous-infection term per node, plus one
     contact term per ordered adjacent pair (n, m): the infection block at
     n multiplied by the infected-indicator at m.
-
-    Memoized per (net, params) in a bounded LRU, so every caller with
-    equal arguments gets the same operator, and its uniformized form and
-    MPO are derived once per network and process.  That operator is
-    shared, so it is immutable: the terms are tuples of (coefficient,
-    tuple of read-only factors).  build_generator_cp.cache_clear() empties
-    the memo.
     """
     n_sites = net.n_nodes
     terms = []
     for n in range(n_sites):
         factors = [_ID] * n_sites
         factors[n] = _RECOVER
-        terms.append((params.gamma, tuple(factors)))
+        terms.append((params.gamma, factors))
     for n in range(n_sites):
         factors = [_ID] * n_sites
         factors[n] = _INFECT
-        terms.append((params.eps, tuple(factors)))
+        terms.append((params.eps, factors))
     for n in range(n_sites):
         for m in net.neighbors(n):
             factors = [_ID] * n_sites
             factors[n] = _INFECT
             factors[int(m)] = _SEL_INFECTED
-            terms.append((params.beta, tuple(factors)))
-    return CPOperator(tuple(terms), exit_rate_bound=exit_rate_bound(net, params))
+            terms.append((params.beta, factors))
+    return CPOperator(terms, exit_rate_bound=exit_rate_bound(net, params))
 
 
 def _rate_triplets(net: Network, params: ModelParams):

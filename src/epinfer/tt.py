@@ -75,6 +75,7 @@ class TTVector:
     cores: list
 
     def __post_init__(self):
+        # the operations below build their results by _train, unchecked
         if not self.cores:
             raise ValueError("TTVector needs at least one core")
         prev = 1
@@ -96,19 +97,18 @@ class TTVector:
         return (1,) + tuple(core.shape[2] for core in self.cores)
 
 
-@dataclass(frozen=True)
+@dataclass
 class CPOperator:
     """Operator as a sum of Kronecker terms: sum_t coeff_t * (F_1 x ... x F_N).
 
-    Each term is a (coefficient, N 2x2 factors) pair.  exit_rate_bound,
+    Each term is a (coefficient, [N 2x2 factors]) pair.  exit_rate_bound,
     when set by the generator builder, is an upper bound on the largest
     total exit rate of any state and drives uniformization step control.
-    Immutable after construction, since one generator can serve many
-    callers: the MPO form and the uniformized operator are derived from
-    the terms on first use and kept, the MPO as a tuple of read-only cores.
+    Treated as immutable after construction: the MPO form and the
+    uniformized operator are derived from the terms on first use and kept.
     """
 
-    terms: tuple
+    terms: list
     exit_rate_bound: float = None
 
     def __post_init__(self):
@@ -177,32 +177,30 @@ class CPOperator:
         cores = [data[offsets[k]:offsets[k + 1]].reshape(ranks[k], 4, ranks[k + 1])
                  for k in range(n_sites)]
         cores = _round_cores(cores, _MPO_TOL)
-        return _read_only(c.reshape(c.shape[0], 2, 2, c.shape[2]) for c in cores)
+        return [c.reshape(c.shape[0], 2, 2, c.shape[2]) for c in cores]
 
     @cached_property
-    def _mpo_matrices(self) -> tuple:
+    def _mpo_matrices(self) -> list:
         """mpo cores laid out as (r, 1, 2*r', 2): per left rank index, a
         matrix with rows (out, r') and columns in, as cp_apply multiplies."""
-        return _read_only(
-            np.ascontiguousarray(m.transpose(0, 1, 3, 2)).reshape(m.shape[0], 1, -1, 2)
-            for m in self.mpo)
+        return [np.ascontiguousarray(m.transpose(0, 1, 3, 2)).reshape(m.shape[0], 1, -1, 2)
+                for m in self.mpo]
 
     @cached_property
     def uniformized(self) -> CPOperator:
         """I + A/L with L = exit_rate_bound: the identity term, then A's terms / L."""
         if self.exit_rate_bound is None:
             raise ValueError("generator carries no exit-rate bound")
-        identity = _read_only([np.eye(2)])
-        scaled = tuple((c / self.exit_rate_bound, f) for c, f in self.terms)
-        return CPOperator(((1.0, identity * self.n_sites),) + scaled)
+        scaled = [(c / self.exit_rate_bound, f) for c, f in self.terms]
+        return CPOperator([(1.0, [np.eye(2)] * self.n_sites)] + scaled)
 
 
-def _read_only(arrays) -> tuple:
-    """The arrays as a tuple, each flagged read-only."""
-    arrays = tuple(arrays)
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+def _train(cores) -> TTVector:
+    """A TTVector of cores whose ranks already chain, made without checking
+    them again: the operations here build every result this way."""
+    p = TTVector.__new__(TTVector)
+    p.cores = cores
+    return p
 
 
 def unit_state_tt(x) -> TTVector:
@@ -250,7 +248,7 @@ def tt_add(a: TTVector, b: TTVector) -> TTVector:
     if a.n_sites != b.n_sites:
         raise ValueError("site counts differ")
     if a.n_sites == 1:
-        return TTVector([a.cores[0] + b.cores[0]])
+        return _train([a.cores[0] + b.cores[0]])
     cores = [np.concatenate([a.cores[0], b.cores[0]], axis=2)]
     for ca, cb in zip(a.cores[1:-1], b.cores[1:-1]):
         block = np.zeros((ca.shape[0] + cb.shape[0], 2, ca.shape[2] + cb.shape[2]))
@@ -258,12 +256,12 @@ def tt_add(a: TTVector, b: TTVector) -> TTVector:
         block[ca.shape[0]:, :, ca.shape[2]:] = cb
         cores.append(block)
     cores.append(np.concatenate([a.cores[-1], b.cores[-1]], axis=0))
-    return TTVector(cores)
+    return _train(cores)
 
 
 def tt_scale(a: TTVector, c) -> TTVector:
     """c times a: a new first core, sharing a's other cores."""
-    return TTVector([a.cores[0] * float(c)] + a.cores[1:])
+    return _train([a.cores[0] * float(c)] + a.cores[1:])
 
 
 def tt_round(p: TTVector, tol) -> TTVector:
@@ -284,7 +282,7 @@ def tt_round(p: TTVector, tol) -> TTVector:
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    return TTVector(_round_cores(p.cores, tol))
+    return _train(_round_cores(p.cores, tol))
 
 
 def _round_cores(cores, tol) -> list:
@@ -368,7 +366,9 @@ def _svd(a):
     # a C-ordered matrix is its transpose in Fortran order: factor that and
     # transpose the factors back, which leaves them C-ordered
     v, s, ut, info = lapack.dgesdd(a.T, full_matrices=0)
-    if info != 0 or not np.isfinite(s).all():
+    # s >= 0, so its sum is finite iff every entry is (short of overflow
+    # past 1e308, which is as unusable); a Python sum is the cheap check
+    if info != 0 or not math.isfinite(sum(s.tolist())):
         raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info {info})")
     return ut.T, s, v.T
 
@@ -398,7 +398,7 @@ def cp_apply(op: CPOperator, p: TTVector) -> TTVector:
         # out[a, b, (i, e), d] = sum_j m[a, 0, (i, e), j] * c[b, j, d]
         out = np.matmul(m, c)
         cores.append(out.reshape(m.shape[0] * c.shape[0], 2, -1))
-    return TTVector(cores)
+    return _train(cores)
 
 
 def cp_to_dense(op: CPOperator) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epinfer import ModelParams, Network, TTVector, build_generator_cp
+from epinfer import ModelParams, Network, TTVector
 from epinfer.graphs import all_pairs
 
 # Largest N the test oracle tt_to_dense expands to a 2^N vector.
@@ -117,13 +117,6 @@ def round_cores_reference(cores, tol) -> list:
         cores[n - 1] = (prev.reshape(-1, r_left) @ (u[:, :r] * s[:r])).reshape(
             prev.shape[0], prev.shape[1], r)
     return cores
-
-
-@pytest.fixture(autouse=True)
-def fresh_generators():
-    """Each test starts with no memoized generator, so what it derives
-    from one (the uniformized operator, the MPO) it derives itself."""
-    build_generator_cp.cache_clear()
 
 
 @pytest.fixture

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from epinfer import (ModelParams, Network, build_generator_cp,
                      build_generator_dense, chain_network, cp_to_dense,
                      reaction_rates)
-from epinfer.generator import _GENERATOR_CACHE_SIZE, exit_rate_bound
-from epinfer.graphs import all_pairs, network_from_bits
+from epinfer.generator import exit_rate_bound
+from epinfer.graphs import all_pairs
 
 from conftest import (index_state, infected_neighbors, random_network,
                       transition_rate)
@@ -91,48 +89,6 @@ class TestReactionRates:
         assert stacked.shape == states.shape
         for x, row in zip(states, stacked):
             assert row.tobytes() == reaction_rates(x, net.adjacency, params).tobytes()
-
-
-class TestGeneratorMemo:
-    def test_equal_arguments_share_one_operator(self, params):
-        gen = build_generator_cp(Network(4, [(0, 1), (1, 2), (2, 3)]), params)
-        again = build_generator_cp(Network(4, [(3, 2), (2, 1), (1, 0)]),
-                                   ModelParams(params.beta, params.gamma, params.eps))
-        assert again is gen
-
-    def test_other_network_or_params_build_another(self, params):
-        net = chain_network(4)
-        gen = build_generator_cp(net, params)
-        assert build_generator_cp(net.with_edge_toggled((0, 3)), params) is not gen
-        other = ModelParams(params.beta, params.gamma, 2 * params.eps)
-        assert build_generator_cp(net, other) is not gen
-
-    def test_memo_holds_at_most_its_bound(self, params):
-        for bits in range(_GENERATOR_CACHE_SIZE + 5):
-            build_generator_cp(network_from_bits(8, bits), params)
-        info = build_generator_cp.cache_info()
-        assert info.maxsize == _GENERATOR_CACHE_SIZE
-        assert info.currsize == _GENERATOR_CACHE_SIZE
-        assert info.misses == _GENERATOR_CACHE_SIZE + 5
-
-    def test_shared_operator_cannot_be_written(self, params):
-        gen = build_generator_cp(chain_network(3), params)
-        coeff, factors = gen.terms[-1]
-        with pytest.raises(ValueError, match="read-only"):
-            factors[0][0, 0] = 2.0
-        with pytest.raises(TypeError):
-            factors[0] = np.zeros((2, 2))
-        with pytest.raises(TypeError):
-            gen.terms[0] = (coeff, factors)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            gen.exit_rate_bound = 1.0
-        shifted = gen.uniformized
-        with pytest.raises(ValueError, match="read-only"):
-            shifted.terms[0][1][0][0, 1] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            shifted.mpo[1][0, 0, 0, 0] = 1.0
-        with pytest.raises(TypeError):
-            shifted.mpo[0] = shifted.mpo[1]
 
 
 class TestGeneratorCp:

@@ -6,12 +6,11 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
-from epinfer import (CPOperator, ModelParams, Network, ObservationSeries,
-                     build_generator_cp, chain_network, contrast_matrix,
-                     log_likelihood, mcmc_optimize, permute_network,
-                     resample_uniform, serialize_contrast, simulate_epidemic,
-                     transition_prob_dense, transition_prob_ssa,
-                     transition_prob_tt)
+from epinfer import (ModelParams, Network, ObservationSeries, chain_network,
+                     contrast_matrix, log_likelihood, mcmc_optimize,
+                     permute_network, resample_uniform, serialize_contrast,
+                     simulate_epidemic, transition_prob_dense,
+                     transition_prob_ssa, transition_prob_tt)
 from epinfer import datagen, dense_propagator, forward, likelihood
 from epinfer.graphs import all_pairs
 from epinfer.likelihood import SOLVERS, interval_probabilities
@@ -484,53 +483,6 @@ class TestContrastMatrix:
         assert lines[0] == "m\tn\tcontrast"
         assert lines[1] == "2\t1\t-1.5"
         assert len(lines) == 4
-
-
-class TestGeneratorReuse:
-    """The tt solver takes its generator from build_generator_cp's memo, so
-    repeated likelihoods on one network derive its operators once."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        built = []
-        original = CPOperator.__post_init__
-
-        def counted(op):
-            built.append(op)
-            original(op)
-
-        monkeypatch.setattr(CPOperator, "__post_init__", counted)
-        return built
-
-    def test_cold_and_warm_likelihoods_are_identical(self, params):
-        net = chain_network(4)
-        obs = make_obs(params, net, t_max=10.0)
-        cold = log_likelihood(net, params, obs, solver="tt")
-        warm = log_likelihood(net, params, obs, solver="tt")
-        build_generator_cp.cache_clear()
-        again = log_likelihood(net, params, obs, solver="tt")
-        for rep in (warm, again):
-            assert rep.log_like == cold.log_like
-            assert rep.per_triple.tobytes() == cold.per_triple.tobytes()
-
-    def test_windows_of_one_series_derive_one_operator(self, params, built):
-        net = chain_network(4)
-        obs = make_obs(params, net, t_max=15.0)
-        for lo in (0, 50, 100):
-            log_likelihood(net, params, ObservationSeries(obs.times[lo:lo + 51],
-                                                          obs.states[lo:lo + 51]),
-                           solver="tt")
-        # the generator and its uniformized form, once
-        assert len(built) == 2
-        assert build_generator_cp.cache_info().misses == 1
-
-    def test_contrast_derives_each_network_once(self, params, built):
-        truth = chain_network(4)
-        datasets = [make_obs(params, truth, t_max=5.0, seed=s) for s in (70, 71)]
-        contrast_matrix(truth, datasets, params, solver="tt")
-        # the truth and its 6 toggles, each a generator and its uniformized form
-        assert len(built) == 2 * 7
-        assert build_generator_cp.cache_info().misses == 7
 
 
 class TestExhaustiveFamilySearch:

@@ -89,6 +89,18 @@ class TestTTVector:
         p = random_tt(rng, 4, 2)
         assert p.ranks == (1, 2, 2, 2, 1)
 
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 6])
+    def test_operation_results_pass_the_checks(self, n_sites, params):
+        # the operations build their results unchecked, so each must chain
+        rng = np.random.default_rng(16)
+        a, b = random_tt(rng, n_sites, 3), random_tt(rng, n_sites, 2)
+        op = build_generator_cp(chain_network(n_sites), params).uniformized
+        for result in (tt_add(a, b), tt_scale(a, 0.5), tt_round(tt_add(a, a), 1e-12),
+                       cp_apply(op, b)):
+            assert isinstance(result, TTVector)
+            TTVector(list(result.cores))
+            assert result.ranks == (1,) + tuple(c.shape[2] for c in result.cores)
+
 
 class TestUnitState:
     def test_dense_expansion(self):
